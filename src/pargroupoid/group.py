@@ -120,6 +120,9 @@ class FiniteGroup:
             if len(labels) != n:
                 raise GroupTableError(
                     f"{len(labels)} labels for {n} elements")
+            if len(set(labels)) != n:
+                dup = next(s for i, s in enumerate(labels) if s in labels[:i])
+                raise GroupTableError(f"label {dup!r} names more than one element")
             self.labels = labels
         else:
             self.labels = ("e",) + tuple(f"g{i}" for i in range(1, n))
@@ -258,7 +261,7 @@ def from_table(doc: dict, name: str = "table") -> FiniteGroup:
             raise GroupTableError(f"missing key {key!r}")
     n = doc["order"]
     table = doc["table"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise GroupTableError(f"order must be a positive integer, got {n!r}")
     if not isinstance(table, list) or len(table) != n:
         raise GroupTableError(
@@ -267,10 +270,13 @@ def from_table(doc: dict, name: str = "table") -> FiniteGroup:
         if not isinstance(row, list):
             raise GroupTableError(f"row {i} is not a list", row=i)
         for j, x in enumerate(row):
-            if not isinstance(x, int):
+            # bool is a subclass of int, but JSON true/false are not entries
+            if not isinstance(x, int) or isinstance(x, bool):
                 raise GroupTableError(
                     f"entry at row {i}, col {j} is not an integer", row=i, col=j)
     labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise GroupTableError(f"labels must be a list, got {type(labels).__name__}")
     return FiniteGroup(table, labels, name=name)
 
 

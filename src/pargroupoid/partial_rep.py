@@ -24,10 +24,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from random import Random
 from typing import Any
 
-from .group import FiniteGroup, from_table, indices_of_mask, make_group
+from .group import FiniteGroup, from_table, make_group
 from .groupoid import Gamma, GammaElement
 from .semialgebra import (
     AlgebraElement,
@@ -528,12 +529,16 @@ def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *
                         bound: int | None = None) -> GammaHom:
     """Extend a partial representation to a map on the whole basis (I, g).
 
-    The image of (I, g) is pi(g) times the product of epsilon(r) over r in I
-    times the product of (1 - epsilon(s)) over s outside I, evaluated in the
-    ring of differences of the target scalars and then pulled back; a value
-    that fails the pullback raises ExtensionMembershipError. Factors are
-    multiplied in element order (the idempotents commute, so order does not
-    matter; the commutation is itself checked by Epsilon.validate).
+    The image of (I, g) is pi(g) times the bracket P(I): the product of
+    epsilon(r) over r in I times the product of (1 - epsilon(s)) over s
+    outside I, each in ascending element order. It is evaluated in the ring of
+    differences of the target scalars and then pulled back; a value that fails
+    the pullback raises ExtensionMembershipError, at the first such (I, g) in
+    canonical order. P(I) depends on I only, so it is computed once per mask,
+    and both of its products are built from shared prefixes (a mask's product
+    is its parent's, the mask without its top element, times one factor).
+    Only the grouping of the factors changes, never their order, so this
+    relies on associativity alone and not on the idempotents commuting.
 
     complement_idempotents=False switches the second product to range over s
     in I instead. That reading makes every image zero, because the factor at
@@ -556,28 +561,32 @@ def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *
     eps_d = [_lift(x) for x in eps.table]
     comp_d = [one_d - x for x in eps_d]
 
-    n = pi.group.order
+    def ascending_product(factors: list, cache: dict, mask: int):
+        # product of factors[r] over r in the nonempty mask, in ascending r
+        value = cache.get(mask)
+        if value is None:
+            top = mask.bit_length() - 1
+            parent = mask ^ (1 << top)
+            value = factors[top]
+            if parent:
+                value = ascending_product(factors, cache, parent) * value
+            cache[mask] = value
+        return value
+
+    eps_cache: dict[int, Any] = {}
+    comp_cache: dict[int, Any] = {}
+    full = pi.group.full_mask
     images = []
-    for el in domain.gamma.elements:
-        acc = im_d[el.g]
-        inside = indices_of_mask(el.mask)
-        for r in inside:
-            acc = acc * eps_d[r]
-            if acc.is_zero:
-                break
-        if not acc.is_zero:
-            if complement_idempotents:
-                rest = (s for s in range(n) if not el.mask >> s & 1)
-            else:
-                rest = iter(inside)
-            for s in rest:
-                acc = acc * comp_d[s]
-                if acc.is_zero:
-                    break
-        lowered, failures = _lower(acc, pi.algebra)
-        if failures:
-            raise ExtensionMembershipError(el, failures, repr(pi.algebra))
-        images.append(lowered)
+    for mask, arrows in groupby(domain.gamma.elements, key=lambda el: el.mask):
+        bracket = ascending_product(eps_d, eps_cache, mask)
+        rest = full ^ mask if complement_idempotents else mask
+        if rest:
+            bracket = bracket * ascending_product(comp_d, comp_cache, rest)
+        for el in arrows:
+            lowered, failures = _lower(im_d[el.g] * bracket, pi.algebra)
+            if failures:
+                raise ExtensionMembershipError(el, failures, repr(pi.algebra))
+            images.append(lowered)
     return GammaHom(domain, pi.algebra, tuple(images))
 
 

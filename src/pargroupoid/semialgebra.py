@@ -63,18 +63,7 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
         alg = self.algebra
-        prod = alg.basis_product
-        sadd = alg.scalars.add
-        smul = alg.scalars.mul
-        out: dict[int, Any] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = prod(i, j)
-                if k is None:
-                    continue
-                c = smul(a, b)
-                out[k] = sadd(out[k], c) if k in out else c
-        return AlgebraElement(alg, out)
+        return AlgebraElement(alg, alg.convolve(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
@@ -154,6 +143,22 @@ class SparseAlgebra:
     def basis_product(self, i: int, j: int) -> int | None:
         raise NotImplementedError
 
+    def convolve(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
+        """Coefficients of the product of two elements given by their
+        coefficient dicts: every support pair, undefined products dropped."""
+        prod = self.basis_product
+        sadd = self.scalars.add
+        smul = self.scalars.mul
+        out: dict[int, Any] = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                k = prod(i, j)
+                if k is None:
+                    continue
+                c = smul(a, b)
+                out[k] = sadd(out[k], c) if k in out else c
+        return out
+
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, {})
 
@@ -222,37 +227,42 @@ class GammaAlgebra(SparseAlgebra):
     def __init__(self, gamma: Gamma, scalars: SemiringSpec):
         super().__init__(scalars, gamma.elements, gamma.unit_indices)
         self.gamma = gamma
-        self._rows: list[dict[int, int]] | None = None
 
     def __repr__(self) -> str:
         return f"GammaAlgebra({self.gamma.group.name}, {self.scalars.name})"
 
     def _rebuild(self, scalars: SemiringSpec) -> "GammaAlgebra":
-        other = GammaAlgebra(self.gamma, scalars)
-        other._rows = self._rows
-        return other
-
-    def _build_rows(self) -> list[dict[int, int]]:
-        # One sparse row per left factor. Defined products are rare: for a
-        # fixed right factor y = (J, h) the left masks are pinned to h*J, so
-        # the total is sum over y of |h*J|, far below size^2.
-        gamma = self.gamma
-        G = gamma.group
-        rows: list[dict[int, int]] = [{} for _ in range(self.size)]
-        by_mask: dict[int, list[int]] = {}
-        for i, el in enumerate(gamma.elements):
-            by_mask.setdefault(el.mask, []).append(i)
-        for j, y in enumerate(gamma.elements):
-            left_mask = G.left_translate(y.g, y.mask)
-            for i in by_mask[left_mask]:
-                x = gamma.elements[i]
-                rows[i][j] = gamma._index_mg[(y.mask, G.mul(x.g, y.g))]
-        return rows
+        return GammaAlgebra(self.gamma, scalars)
 
     def basis_product(self, i: int, j: int) -> int | None:
-        if self._rows is None:
-            self._rows = self._build_rows()
-        return self._rows[i].get(j)
+        return self.gamma.product_index(i, j)
+
+    def convolve(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
+        # Exact join: (I, g)(J, h) is defined iff I = hJ, so bucket y by hJ.
+        # Buckets keep y's order, so sums accumulate as in the double loop.
+        gamma = self.gamma
+        elements = gamma.elements
+        translate = gamma.group.left_translate
+        buckets: dict[int, list[tuple[int, int, Any]]] = {}
+        for j, b in y.items():
+            el = elements[j]
+            buckets.setdefault(translate(el.g, el.mask), []).append((el.mask, el.g, b))
+        cayley = gamma.group.cayley
+        index = gamma._index_mg
+        sadd = self.scalars.add
+        smul = self.scalars.mul
+        out: dict[int, Any] = {}
+        for i, a in x.items():
+            el = elements[i]
+            bucket = buckets.get(el.mask)
+            if bucket is None:
+                continue
+            row = cayley[el.g]
+            for mask, h, b in bucket:
+                k = index[(mask, row[h])]
+                c = smul(a, b)
+                out[k] = sadd(out[k], c) if k in out else c
+        return out
 
     def basis_key(self, i: int):
         el = self.basis[i]

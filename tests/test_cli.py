@@ -146,6 +146,19 @@ def test_bad_table_exits_3(tmp_path, capsys):
     assert _run(capsys, ["action-check", "--file", str(missing)])[0] == 3
 
 
+@pytest.mark.parametrize("doc", [
+    {"order": 2, "table": [[False, 1], [1, 0]]},
+    {"order": 2, "table": [[0, 1], [1, 0]], "labels": ["e", "e"]},
+    {"order": 2, "table": [[0, 1], [1, 0]], "labels": "ea"},
+])
+def test_malformed_table_exits_3_with_one_line(tmp_path, capsys, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["gamma", "--group", f"table:{path}"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_order_bound_env_and_flag(monkeypatch, capsys):
     monkeypatch.setenv("PARGROUPOID_BOUND", "4")
     assert _run(capsys, ["gamma", "--group", "cyclic:5"])[0] == 3

@@ -62,6 +62,23 @@ def test_table_validation_errors(mangle, fragment):
         from_table(doc)
 
 
+# JSON true/false pass isinstance(x, int); a string is a sequence of labels
+MALFORMED_ORDER_TWO = [
+    ({"order": 2, "table": [[False, 1], [1, 0]]}, "row 0, col 0 is not an integer"),
+    ({"order": True, "table": [[0]]}, "order must be a positive integer"),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "labels": ["e", "e"]},
+     "label 'e' names more than one element"),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "labels": "ea"},
+     "labels must be a list, got str"),
+]
+
+
+@pytest.mark.parametrize("doc, fragment", MALFORMED_ORDER_TWO)
+def test_table_rejects_bools_duplicate_and_string_labels(doc, fragment):
+    with pytest.raises(GroupTableError, match=fragment):
+        from_table(doc)
+
+
 def test_associativity_validation():
     # swapping two entries keeps rows/columns permutations but breaks
     # associativity: the Latin square of Z4 with a transposition applied

@@ -2,9 +2,13 @@
 
 import pytest
 
-from pargroupoid.group import make_group
+import random
+
+from groups_util import build_roster
+from pargroupoid.group import indices_of_mask, make_group
 from pargroupoid.groupoid import Gamma, GammaElement
 from pargroupoid.semialgebra import (
+    AlgebraElement,
     BasisMismatchError,
     GammaAlgebra,
     GroupAlgebra,
@@ -13,6 +17,8 @@ from pargroupoid.semialgebra import (
 from pargroupoid.partial_rep import (
     Epsilon,
     ExtensionMembershipError,
+    _lift,
+    _lower,
     GammaHom,
     PartialActionFormatError,
     PartialRepMap,
@@ -27,7 +33,7 @@ from pargroupoid.partial_rep import (
     verify_partial_action,
     verify_partial_rep,
 )
-from pargroupoid.semiring import NAT, QNN
+from pargroupoid.semiring import NAT, QNN, DeltaElement, delta_of
 
 Z2 = make_group("cyclic:2")
 Z3 = make_group("cyclic:3")
@@ -235,7 +241,8 @@ def test_extension_membership_failure_is_reported():
     with pytest.raises(ExtensionMembershipError) as exc:
         extend_to_gamma_hom(pi)
     err = exc.value
-    assert err.witnesses
+    assert err.element == GammaElement(0b1, 0)
+    assert err.witnesses == [(0, DeltaElement(1, 4))]
     assert "difference pair" in str(err)
 
 
@@ -244,6 +251,113 @@ def test_extension_membership_failure_over_nonnegative_rationals():
     pi = PartialRepMap(Z2, galg, [galg.one(), galg.basis_element(1).scale(2)])
     with pytest.raises(ExtensionMembershipError):
         extend_to_gamma_hom(pi)
+
+
+def _extend_oracle(pi, domain, complement_idempotents=True):
+    # the per-element extension: every image multiplies its own factors, in
+    # element order, stopping once the running product is zero
+    S = pi.algebra.scalars
+    one_d = pi.algebra.with_scalars(delta_of(S)).one()
+    eps = Epsilon(pi)
+    im_d = [_lift(x) for x in pi.images]
+    eps_d = [_lift(x) for x in eps.table]
+    comp_d = [one_d - x for x in eps_d]
+    n = pi.group.order
+    images = []
+    for el in domain.gamma.elements:
+        acc = im_d[el.g]
+        inside = indices_of_mask(el.mask)
+        for r in inside:
+            acc = acc * eps_d[r]
+            if acc.is_zero:
+                break
+        if not acc.is_zero:
+            if complement_idempotents:
+                rest = (s for s in range(n) if not el.mask >> s & 1)
+            else:
+                rest = iter(inside)
+            for s in rest:
+                acc = acc * comp_d[s]
+                if acc.is_zero:
+                    break
+        lowered, failures = _lower(acc, pi.algebra)
+        if failures:
+            raise ExtensionMembershipError(el, failures, repr(pi.algebra))
+        images.append(lowered)
+    return images
+
+
+def _assert_matches_oracle(pi, **kwargs):
+    ext = extend_to_gamma_hom(pi, **kwargs)
+    assert list(ext.images) == _extend_oracle(pi, ext.domain, **kwargs)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in build_roster()])
+def test_extension_matches_oracle_on_all_classes(algebra_of, name):
+    # over NAT the oracle's 4,616 products at order 8 stay cheap; c05 checks
+    # the QNN extension against the identity
+    _assert_matches_oracle(lambda_p(algebra_of(name, NAT)))
+
+
+def test_extension_matches_oracle_on_regular_representations():
+    for G in (Z2, Z3):
+        _assert_matches_oracle(regular_representation(G, QNN))
+    alg = GammaAlgebra(Gamma(make_group("sym:3")), QNN)
+    _assert_matches_oracle(lambda_p(alg), complement_idempotents=False)
+
+
+def _outcome(extend):
+    try:
+        return "ok", extend()
+    except ExtensionMembershipError as err:
+        return "error", (err.element, err.witnesses, str(err))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:3", "klein4", "sym:3"])
+@pytest.mark.parametrize("scalars", [NAT, QNN, delta_of(NAT)],
+                         ids=["nat", "qnn", "nat-delta"])
+def test_extension_of_non_representations_matches_oracle(spec, scalars):
+    # Random images are almost never partial representations. Over NAT and
+    # QNN the extension then leaves the target, and both must name the same
+    # first element with the same unreduced witness pairs. Over a ring of
+    # differences every value lands, so the images are compared instead; in
+    # the noncommutative group algebra of S3 that pins the factor order.
+    G = make_group(spec)
+    galg = GroupAlgebra(G, scalars)
+    domain = GammaAlgebra(Gamma(G), scalars)
+    errors = 0
+    for seed in range(15):
+        rng = random.Random(seed)
+        images = [galg.one()] + [galg.random_element(rng, terms=rng.randint(1, 3))
+                                 for _ in range(G.order - 1)]
+        pi = PartialRepMap(G, galg, images)
+        got = _outcome(lambda: list(extend_to_gamma_hom(pi, domain).images))
+        want = _outcome(lambda: _extend_oracle(pi, domain))
+        assert got == want
+        errors += got[0] == "error"
+    assert errors == 0 if scalars.is_delta else errors > 0
+
+
+def test_extension_shares_products_per_mask(monkeypatch):
+    # |Gamma| products for pi(g) P(I), fewer than 3 * 2^(n-1) for the brackets
+    # P(I) and their prefixes, n for the idempotents; multiplying each image
+    # out on its own took 4,616 for this group
+    alg = GammaAlgebra(Gamma(make_group("dihedral:4")), QNN)
+    lam = lambda_p(alg)
+    calls = 0
+    original = AlgebraElement.__mul__
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return original(x, y)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    extend_to_gamma_hom(lam)
+    n = lam.group.order
+    bound = alg.size + 3 * 2 ** (n - 1) + n
+    assert bound == 576 + 384 + 8
+    assert calls <= bound, calls
 
 
 def test_regular_representation_matrices():

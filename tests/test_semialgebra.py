@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pargroupoid.group import make_group
+from groups_util import build_roster, direct_product
+from pargroupoid.group import indices_of_mask, make_group
 from pargroupoid.groupoid import Gamma, StandardElement, StandardGroupoid
 from pargroupoid.semialgebra import (
     AlgebraElement,
@@ -63,14 +64,79 @@ def _brute_product(alg: GammaAlgebra, x: AlgebraElement, y: AlgebraElement):
     return AlgebraElement(alg, out)
 
 
-@pytest.mark.parametrize("spec", ["cyclic:3", "klein4", "sym:3"])
-def test_convolution_matches_brute_force(spec):
-    alg = GammaAlgebra(Gamma(make_group(spec)), QNN)
+def _joined_pair(alg: GammaAlgebra, rng: random.Random, terms: int = 4):
+    """Random x, y where half of y's terms have a defined product with a term
+    of x: (I, g)(h^-1 I, h) is defined for every h in I. Uniform picks almost
+    never meet at order 16, so the join would go untested there."""
+    gamma = alg.gamma
+    G = gamma.group
+    S = alg.scalars
+    x = alg.random_element(rng, terms)
+    y = alg.random_element(rng, terms - terms // 2).coeffs
+    for i in rng.sample(sorted(x.coeffs), min(terms // 2, len(x.coeffs))):
+        mask = gamma.elements[i].mask
+        h = rng.choice(indices_of_mask(mask))
+        j = alg.index[gamma.element(G.left_translate(G.inverse(h), mask), h)]
+        y[j] = S.sample(rng)
+    return x, AlgebraElement(alg, y)
+
+
+def _assert_same_product(alg, x, y):
+    # same coefficients in the same order, not just semantically equal
+    got = x * y
+    assert list(got.coeffs.items()) == list(_brute_product(alg, x, y).coeffs.items())
+    return got
+
+
+def _check_against_brute_force(alg):
     rng = random.Random(11)
-    for _ in range(50):
+    defined = 0
+    for _ in range(25):
         x = alg.random_element(rng, terms=4)
         y = alg.random_element(rng, terms=4)
-        assert x * y == _brute_product(alg, x, y)
+        _assert_same_product(alg, x, y)
+        x, y = _joined_pair(alg, rng)
+        defined += len(_assert_same_product(alg, x, y).coeffs)
+    _assert_same_product(alg, alg.one(), x)
+    _assert_same_product(alg, x, alg.one())
+    assert defined > 0
+
+
+@pytest.mark.parametrize("spec", ["cyclic:3", "klein4", "sym:3"])
+def test_convolution_matches_brute_force(spec):
+    _check_against_brute_force(GammaAlgebra(Gamma(make_group(spec)), QNN))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in build_roster()])
+@pytest.mark.parametrize("scalars", [QNN, delta_of(QNN)], ids=["qnn", "qnn-delta"])
+def test_convolution_matches_brute_force_all_classes(algebra_of, name, scalars):
+    _check_against_brute_force(algebra_of(name, scalars))
+
+
+@pytest.mark.parametrize("G", [
+    make_group("dihedral:8"),
+    direct_product(make_group("cyclic:4"), make_group("cyclic:4"), "Z4xZ4"),
+], ids=["dihedral:8", "Z4xZ4"])
+def test_convolution_matches_brute_force_order_16(G):
+    alg = GammaAlgebra(Gamma(G), QNN)
+    rng = random.Random(16)
+    defined = 0
+    for _ in range(20):
+        x, y = _joined_pair(alg, rng)
+        defined += len(_assert_same_product(alg, x, y).coeffs)
+    assert defined >= 20
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4",
+                                  "klein4"])
+def test_gamma_algebra_product_matches_groupoid(spec):
+    alg = GammaAlgebra(Gamma(make_group(spec)), NAT)
+    gamma = alg.gamma
+    for i, a in enumerate(alg.basis):
+        for j, b in enumerate(alg.basis):
+            p = gamma.product(a, b)
+            k = alg.basis_product(i, j)
+            assert k == (None if p is None else alg.index[p])
 
 
 @given(nat_elements, nat_elements, nat_elements)
