@@ -127,6 +127,7 @@ class FiniteGroup:
         else:
             self.labels = ("e",) + tuple(f"g{i}" for i in range(1, n))
         self._translate_cache: dict[tuple[int, int], int] = {}
+        self._subgroups: tuple[Subgroup, ...] | None = None
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -320,11 +321,14 @@ def left_translate(G: FiniteGroup, g: int, mask: int) -> int:
 
 
 def stabilizer_of_subset(G: FiniteGroup, mask: int) -> Subgroup:
-    """The subgroup {g : g*I = I} of a subset I containing the identity."""
+    """The subgroup {g : g*I = I} of a subset I containing the identity.
+
+    Only g in I are tried: g*I = I puts g = g*e in I.
+    """
     if not mask & 1:
         raise ValueError(f"subset {G.subset_repr(mask)} does not contain the identity")
     stab = 0
-    for g in G.elements():
+    for g in indices_of_mask(mask):
         if G.left_translate(g, mask) == mask:
             stab |= 1 << g
     return Subgroup(G, stab)
@@ -354,8 +358,14 @@ def _closure_mask(G: FiniteGroup, mask: int) -> int:
 
 
 def subgroups(G: FiniteGroup, bound: int | None = None) -> list[Subgroup]:
-    """All subgroups, by incremental closure; sorted by (order, mask)."""
+    """All subgroups, by incremental closure; sorted by (order, mask).
+
+    The lattice is walked once per group and kept on it; each call still
+    checks the bound and returns a fresh list.
+    """
     _check_bound(G, bound, "subgroup enumeration")
+    if G._subgroups is not None:
+        return list(G._subgroups)
     found = {1}
     frontier = {1}
     while frontier:
@@ -369,7 +379,9 @@ def subgroups(G: FiniteGroup, bound: int | None = None) -> list[Subgroup]:
                     found.add(c)
                     nxt.add(c)
         frontier = nxt
-    return [Subgroup(G, m) for m in sorted(found, key=lambda m: (m.bit_count(), m))]
+    G._subgroups = tuple(Subgroup(G, m)
+                         for m in sorted(found, key=lambda m: (m.bit_count(), m)))
+    return list(G._subgroups)
 
 
 def conjugacy_classes_of_subgroups(G: FiniteGroup,

@@ -5,13 +5,16 @@ identity and g^-1. The partial product (I, g) * (J, h) is defined exactly when
 I = h*J and then equals (J, g*h); units are the pairs (I, e). Connectivity of
 the unit graph, isotropy, and the normal form onto the standard groupoid of
 triples (h, i, j) over the isotropy group are computed here.
+
+The component of a unit I is the translation orbit {x^-1 * I : x in I}, so
+one finder, `unit_components`, serves both the groupoid's component reports
+and the mask-level block table in `structure`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .group import (
     FiniteGroup,
@@ -109,22 +112,36 @@ def gamma_product(gamma: Gamma, x: GammaElement, y: GammaElement) -> GammaElemen
 # ---------------------------------------------------------------------------
 # Connectivity.
 
-class _UnionFind:
-    def __init__(self, items: Iterable[int]):
-        self.parent = {x: x for x in items}
+def unit_components(G: FiniteGroup) -> list[tuple[tuple[int, ...], Subgroup]]:
+    """The components of the unit graph with their isotropy, by base mask.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    An arrow (I, g) joins I to g*I exactly when g^-1 is in I, so the
+    component of I is its translation orbit {x^-1 * I : x in I}; that set is
+    closed under further moves. Walking the masks containing e in ascending
+    order and skipping those already seen therefore meets every component
+    first at its least mask, its base. Each entry is (vertices ascending,
+    stabilizer of the base). The vertex count m must tile the base as
+    m * |isotropy| = |base|; this is asserted because every later structure
+    computation leans on it. All 2^(order-1) masks are walked, so callers
+    check the order bound first.
+    """
+    seen = bytearray(1 << G.order)
+    out = []
+    for base in range(1, 1 << G.order, 2):
+        if seen[base]:
+            continue
+        vertices = tuple(sorted({G.left_translate(G.inverse(x), base)
+                                 for x in indices_of_mask(base)}))
+        for v in vertices:
+            seen[v] = 1
+        isotropy = stabilizer_of_subset(G, base)
+        if len(vertices) * isotropy.order != base.bit_count():
+            raise AssertionError(
+                f"component at {G.subset_repr(base)}: {len(vertices)} vertices "
+                f"with isotropy order {isotropy.order} cannot tile a subset of "
+                f"size {base.bit_count()}")
+        out.append((vertices, isotropy))
+    return out
 
 
 @dataclass(frozen=True)
@@ -157,32 +174,20 @@ class ComponentReport:
 def connected_components(gamma: Gamma) -> list[ComponentReport]:
     """Components of the unit graph, sorted by base vertex mask.
 
-    Each component's vertex count m must equal |base| / |isotropy|; this is
-    asserted because every later structure computation leans on it.
+    The components are the translation orbits found by `unit_components`;
+    each report adds one chosen arrow per vertex.
     """
     G = gamma.group
-    masks = [gamma.elements[i].mask for i in gamma.unit_indices]
-    uf = _UnionFind(masks)
-    for el in gamma.elements:
-        uf.union(el.mask, G.left_translate(el.g, el.mask))
-    groups: dict[int, list[int]] = {}
-    for mask in masks:
-        groups.setdefault(uf.find(mask), []).append(mask)
     reports = []
-    for root in sorted(groups):
-        vertices = tuple(sorted(groups[root]))
+    for vertices, isotropy in unit_components(G):
         base = vertices[0]
-        isotropy = stabilizer_of_subset(G, base)
-        if len(vertices) * isotropy.order != base.bit_count():
-            raise AssertionError(
-                f"component at {G.subset_repr(base)}: {len(vertices)} vertices "
-                f"with isotropy order {isotropy.order} cannot tile a subset of "
-                f"size {base.bit_count()}")
-        arrows = []
-        for v in vertices:
-            g = next(g for g in G.elements() if G.left_translate(g, base) == v)
-            arrows.append(GammaElement(base, g))
-        reports.append(ComponentReport(gamma, vertices, isotropy, tuple(arrows)))
+        # g*base contains e only when g^-1 is in base, so these g are the
+        # only candidates; ascending order keeps the least one per vertex.
+        least: dict[int, int] = {}
+        for g in sorted(G.inverse(x) for x in indices_of_mask(base)):
+            least.setdefault(G.left_translate(g, base), g)
+        arrows = tuple(GammaElement(base, least[v]) for v in vertices)
+        reports.append(ComponentReport(gamma, vertices, isotropy, arrows))
     return reports
 
 

@@ -191,7 +191,8 @@ def partial_action_from_json(doc: dict, group: FiniteGroup | None = None) -> Par
                 f"map of element {key} must be a list of [from, to] pairs")
         mp: dict[int, int] = {}
         for src, dst in pairs:
-            if not isinstance(src, int) or not isinstance(dst, int):
+            # bool is a subclass of int, but JSON true/false are not points
+            if any(not isinstance(p, int) or isinstance(p, bool) for p in (src, dst)):
                 raise PartialActionFormatError(
                     f"map of element {key} has a non-integer pair [{src!r}, {dst!r}]")
             if src in mp:

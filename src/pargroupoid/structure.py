@@ -1,9 +1,10 @@
 """Block structure of the groupoid semialgebra.
 
-The unit graph splits into connected components; a component with m vertices
-and isotropy H spans a subalgebra isomorphic to the m x m matrix semialgebra
-over KH. Grouping components by (conjugacy class of isotropy, m) gives the
-block table
+The unit graph splits into connected components: the translation orbits
+{x^-1 * I : x in I}, found by the one finder `groupoid.unit_components`. A
+component with m vertices and isotropy H spans a subalgebra isomorphic to the
+m x m matrix semialgebra over KH. Grouping components by (conjugacy class
+of isotropy, m) gives the block table
 
     KGamma(G) = direct sum over classes [H] and m of c_m([H]) copies of
     M_m(KH),
@@ -31,7 +32,6 @@ from .group import (
     _check_bound,
     conjugacy_classes_of_subgroups,
     generating_set,
-    indices_of_mask,
     stabilizer_of_subset,
     subgroups,
 )
@@ -41,6 +41,7 @@ from .groupoid import (
     Gamma,
     component_normal_form,
     connected_components,
+    unit_components,
 )
 from .semialgebra import (
     MatrixAlgebra,
@@ -61,32 +62,6 @@ def gamma_size_from_subsets(G: FiniteGroup) -> int:
     return sum(mask.bit_count() for mask in range(1, 1 << n, 2))
 
 
-# ---------------------------------------------------------------------------
-# Components at the level of unit masks (no groupoid construction needed).
-
-def _mask_components(G: FiniteGroup) -> list[tuple[int, ...]]:
-    parent: dict[int, int] = {m: m for m in range(1, 1 << G.order, 2)}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for mask in parent:
-        for i in indices_of_mask(mask):
-            other = G.left_translate(G.inverse(i), mask)
-            ra, rb = find(mask), find(other)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for mask in parent:
-        groups.setdefault(find(mask), []).append(mask)
-    return [tuple(sorted(groups[root])) for root in sorted(groups)]
-
-
 def _class_lookup(classes: list[list[Subgroup]]) -> tuple[dict[int, int], dict[int, Subgroup]]:
     rep_of = {H.mask: cls[0].mask for cls in classes for H in cls}
     rep_sub = {cls[0].mask: cls[0] for cls in classes}
@@ -98,21 +73,15 @@ def multiplicity_enumeration(G: FiniteGroup,
     """Count components per (conjugacy class of isotropy, vertex count).
 
     Keys are (mask of the class representative, m); this is the authoritative
-    multiplicity table.
+    multiplicity table. The components are the translation orbits of
+    `unit_components`, so no groupoid is built.
     """
     _check_bound(G, bound, "multiplicity enumeration")
     classes = conjugacy_classes_of_subgroups(G, bound)
     rep_of, _ = _class_lookup(classes)
     counts: dict[tuple[int, int], int] = {}
-    for vertices in _mask_components(G):
-        base = vertices[0]
-        iso = stabilizer_of_subset(G, base)
-        m = len(vertices)
-        if m * iso.order != base.bit_count():
-            raise AssertionError(
-                f"component at {G.subset_repr(base)}: {m} vertices with isotropy "
-                f"order {iso.order} cannot tile a subset of size {base.bit_count()}")
-        key = (rep_of[iso.mask], m)
+    for vertices, iso in unit_components(G):
+        key = (rep_of[iso.mask], len(vertices))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -231,9 +200,14 @@ def coset_count_identity(G: FiniteGroup,
     return True, None
 
 
-def recursion_diff(G: FiniteGroup, bound: int | None = None) -> list[dict]:
-    """Side-by-side rows comparing enumeration and recursion multiplicities."""
-    enum = multiplicity_enumeration(G, bound)
+def recursion_diff(G: FiniteGroup, bound: int | None = None,
+                   enum: dict[tuple[int, int], int] | None = None) -> list[dict]:
+    """Side-by-side rows comparing enumeration and recursion multiplicities.
+
+    enum is the enumeration table when the caller already holds it.
+    """
+    if enum is None:
+        enum = multiplicity_enumeration(G, bound)
     rec = multiplicity_recursion(G, bound)
     rows = []
     for mask, m in sorted(enum.keys() | rec.keys(),
@@ -419,5 +393,6 @@ def decomposition_report(G: FiniteGroup, scalars: SemiringSpec | None = None,
     """The full report: block table, audit, and the recursion diff."""
     summary = decompose(G, scalars, bound)
     doc = summary.to_json()
-    doc["recursion_diff"] = recursion_diff(G, bound)
+    enum = {(b.subgroup.mask, b.m): b.c for b in summary.blocks}
+    doc["recursion_diff"] = recursion_diff(G, bound, enum)
     return doc

@@ -47,10 +47,12 @@ def test_decompose_order_two(capsys):
     assert all(row["equal"] for row in doc["recursion_diff"])
 
 
-def test_decompose_matches_golden_bytes(capsys):
-    code, out, _ = _run(capsys, ["decompose", "--group", "klein4"])
+@pytest.mark.parametrize("spec", ["klein4", "cyclic:16", "dihedral:8"])
+def test_decompose_matches_golden_bytes(capsys, spec):
+    code, out, _ = _run(capsys, ["decompose", "--group", spec])
     assert code == 0
-    assert out == (GOLDEN / "decompose_klein4.json").read_text()
+    name = spec.replace(":", "")
+    assert out == (GOLDEN / f"decompose_{name}.json").read_text()
 
 
 def test_repeated_runs_are_byte_identical(capsys):
@@ -200,6 +202,22 @@ def test_action_check_malformed_document_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = _run(capsys, ["action-check", "--file", str(path)])
     assert code == 3 and "defined on" in err
+
+
+def test_action_check_rejects_boolean_points(tmp_path, capsys):
+    # JSON true is a Python int; it must not pass as point 1 in either slot
+    for pair in ([True, 1], [1, True]):
+        doc = {
+            "group": "cyclic:2",
+            "X": 2,
+            "domains": {"0": [0, 1], "1": [0, 1]},
+            "maps": {"0": [[0, 0], pair], "1": [[0, 1], [1, 0]]},
+        }
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, ["action-check", "--file", str(path)])
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "non-integer pair" in err
 
 
 def test_action_check_group_override(tmp_path, capsys):

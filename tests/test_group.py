@@ -7,6 +7,7 @@ import pytest
 from groups_util import build_roster, direct_product, q8, q8_doc
 from pargroupoid.group import (
     FiniteGroup,
+    GroupOrderBoundError,
     GroupSpecError,
     GroupTableError,
     Subgroup,
@@ -148,6 +149,17 @@ def _brute_force_subgroups(G):
 @pytest.mark.parametrize("name,G", build_roster())
 def test_subgroups_against_brute_force(name, G):
     assert {H.mask for H in subgroups(G)} == _brute_force_subgroups(G)
+
+
+def test_subgroups_are_kept_on_the_group():
+    G = make_group("dihedral:4")
+    first = subgroups(G)
+    first.clear()
+    second = subgroups(G)
+    assert second == subgroups(G) and second is not subgroups(G)
+    assert {H.mask for H in second} == _brute_force_subgroups(G)
+    with pytest.raises(GroupOrderBoundError):
+        subgroups(G, bound=4)
 
 
 def test_subgroup_rejects_non_closed_subsets():

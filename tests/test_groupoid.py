@@ -2,8 +2,13 @@
 
 import pytest
 
-from groups_util import build_roster
-from pargroupoid.group import GroupOrderBoundError, indices_of_mask, make_group
+from groups_util import build_roster, direct_product
+from pargroupoid.group import (
+    GroupOrderBoundError,
+    indices_of_mask,
+    make_group,
+    mask_from_indices,
+)
 from pargroupoid.groupoid import (
     Gamma,
     GammaElement,
@@ -14,6 +19,7 @@ from pargroupoid.groupoid import (
     connected_components,
     gamma_product,
     standard_product,
+    unit_components,
 )
 
 SMALL = [item for item in build_roster() if item[1].order <= 6]
@@ -130,6 +136,77 @@ def test_component_vertices_are_one_orbit():
                     orbit.add(nxt)
                     frontier.append(nxt)
         assert orbit == set(comp.vertices)
+
+
+class _UnionFind:
+    """Test-only oracle: components by union over every arrow (I, g)."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def _translate(G, g, mask):
+    # uncached, so the oracle shares no state with the finder
+    return mask_from_indices(G.mul(g, x) for x in indices_of_mask(mask))
+
+
+def _union_find_components(G):
+    """Vertex tuples of every component, sorted by base mask."""
+    masks = range(1, 1 << G.order, 2)
+    uf = _UnionFind(masks)
+    for mask in masks:
+        for x in indices_of_mask(mask):
+            uf.union(mask, _translate(G, G.inverse(x), mask))
+    groups = {}
+    for mask in masks:
+        groups.setdefault(uf.find(mask), []).append(mask)
+    return [tuple(sorted(groups[root])) for root in sorted(groups)]
+
+
+def _order_16_groups():
+    z4 = make_group("cyclic:4")
+    return [("Z16", make_group("cyclic:16")), ("D8", make_group("dihedral:8")),
+            ("Z4xZ4", direct_product(z4, z4, "Z4xZ4"))]
+
+
+@pytest.mark.parametrize("name,G", build_roster() + _order_16_groups())
+def test_unit_components_match_union_find_oracle(name, G):
+    found = unit_components(G)
+    assert [vertices for vertices, _ in found] == _union_find_components(G)
+    for vertices, isotropy in found:
+        base = vertices[0]
+        assert isotropy.mask == mask_from_indices(
+            g for g in G.elements() if _translate(G, g, base) == base)
+
+
+@pytest.mark.parametrize("name,G", build_roster())
+def test_connected_components_match_union_find_oracle(name, G):
+    gamma = Gamma(G)
+    expected = []
+    for vertices in _union_find_components(G):
+        base = vertices[0]
+        stab = mask_from_indices(
+            g for g in G.elements() if _translate(G, g, base) == base)
+        arrows = tuple(
+            GammaElement(base, next(g for g in G.elements()
+                                    if _translate(G, g, base) == v))
+            for v in vertices)
+        expected.append((vertices, stab, arrows))
+    assert [(c.vertices, c.isotropy.mask, c.chosen_arrows)
+            for c in connected_components(gamma)] == expected
 
 
 def test_standard_groupoid_products():
