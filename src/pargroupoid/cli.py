@@ -14,12 +14,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage or spec errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .group import (
     FiniteGroup,
@@ -66,6 +67,8 @@ from .structure import (
     coset_count_identity,
     decompose,
     decomposition_report,
+    recursion_diff,
+    stabilizer_census,
     vertex_count_identity,
 )
 
@@ -95,11 +98,23 @@ def _resolve_bound(args) -> int | None:
             f"PARGROUPOID_BOUND must be an integer, got {env!r}") from None
 
 
-def _emit(doc: dict, args, render: Callable[[dict], str]) -> None:
-    if args.format == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+def _emit(doc: dict | Callable[[str], Iterable[str]], args,
+          render: Callable[[dict], str] | None = None) -> None:
+    """Write doc as JSON, or as render(doc) for --format text.
+
+    A listing too large to hold as one document or string is passed as a
+    callable instead: called with the format, it yields the same bytes in
+    chunks, which are written as they come.
+    """
+    if callable(doc):
+        chunks = doc(args.format)
+    elif args.format == "json":
+        chunks = (json.dumps(doc, indent=2) + "\n",)
     else:
-        sys.stdout.write(render(doc))
+        chunks = (render(doc),)
+    write = sys.stdout.write
+    for chunk in chunks:
+        write(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +294,14 @@ def _suite_structure(G: FiniteGroup, S: SemiringSpec, seed: int,
     checks.append(_check("dimension_audit", summary.audit_ok,
                          None if summary.audit_ok
                          else (summary.audit_lhs, summary.audit_rhs)))
-    ok, w = vertex_count_identity(G, bound)
+    # one enumeration and one census serve every check below
+    enum = summary.multiplicities()
+    census = stabilizer_census(G, bound)
+    ok, w = vertex_count_identity(G, bound, enum, census)
     checks.append(_check("vertex_count_identity", ok, w))
-    ok, w = coset_count_identity(G, bound)
+    ok, w = coset_count_identity(G, bound, census)
     checks.append(_check("coset_count_identity", ok, w))
-    diff = decomposition_report(G, bound=bound)["recursion_diff"]
+    diff = recursion_diff(G, bound, enum)
     mismatches = sum(1 for row in diff if not row["equal"])
     checks.append(_check(
         "recursion_diff_informational", True,
@@ -305,31 +323,44 @@ _SUITES: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 # Commands.
 
+def _gamma_chunks(gamma: Gamma, fmt: str) -> Iterator[str]:
+    """The `gamma` listing, one chunk per source mask.
+
+    The bytes are those of json.dumps(indent=2) over the document
+    {group, order, labels, size, unit_count, elements: [{I, g, unit}, ...]}
+    and of its text rendering; the header goes through json.dumps itself, so
+    labels are escaped the same way. Each mask's I block is rendered once and
+    each arrow adds only its g and unit flag (the unit is g = e, index 0).
+    """
+    G = gamma.group
+    n = G.order
+    labels = [G.label(i) for i in G.elements()]
+    if fmt == "json":
+        head = {"group": G.name, "order": n, "labels": labels,
+                "size": gamma.size, "unit_count": len(gamma.unit_indices)}
+        yield json.dumps(head, indent=2)[:-2] + ',\n  "elements": [\n'
+        tails = [f'{g},\n      "unit": {"true" if g == 0 else "false"}\n    }}'
+                 for g in range(n)]
+        sep = ""
+        for mask in range(1, 1 << n, 2):
+            block = ",\n".join(f"        {x}" for x in indices_of_mask(mask))
+            arrow = '    {\n      "I": [\n' + block + '\n      ],\n      "g": '
+            yield sep + ",\n".join(arrow + tails[el.g] for el in gamma.arrows_at(mask))
+            sep = ",\n"
+        yield "\n  ]\n}\n"
+    else:
+        yield (f"Gamma({G.name}): {gamma.size} arrows, "
+               f"{len(gamma.unit_indices)} units\n")
+        tails = [f", {labels[g]}){'  unit' if g == 0 else ''}\n" for g in range(n)]
+        for mask in range(1, 1 << n, 2):
+            arrow = "  ({" + ",".join(labels[x] for x in indices_of_mask(mask)) + "}"
+            yield "".join(arrow + tails[el.g] for el in gamma.arrows_at(mask))
+
+
 def _cmd_gamma(args) -> int:
     G = make_group(args.group)
     gamma = Gamma(G, _resolve_bound(args))
-    elements = [{"I": indices_of_mask(el.mask), "g": el.g,
-                 "unit": gamma.is_unit(el)}
-                for el in gamma.elements]
-    doc = {
-        "group": G.name,
-        "order": G.order,
-        "labels": [G.label(i) for i in G.elements()],
-        "size": gamma.size,
-        "unit_count": len(gamma.unit_indices),
-        "elements": elements,
-    }
-
-    def render(d: dict) -> str:
-        lines = [f"Gamma({d['group']}): {d['size']} arrows, "
-                 f"{d['unit_count']} units"]
-        for el in d["elements"]:
-            names = ",".join(d["labels"][i] for i in el["I"])
-            tag = "  unit" if el["unit"] else ""
-            lines.append(f"  ({{{names}}}, {d['labels'][el['g']]}){tag}")
-        return "\n".join(lines) + "\n"
-
-    _emit(doc, args, render)
+    _emit(functools.partial(_gamma_chunks, gamma), args)
     return 0
 
 

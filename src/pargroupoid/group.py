@@ -61,8 +61,8 @@ class FiniteGroup:
     """A finite group on element indices 0..order-1 with the identity at 0.
 
     The constructor validates the full set of axioms: identity row/column,
-    Latin square property, two-sided inverses, and associativity (checked in
-    one vectorized sweep over all triples).
+    Latin square property, two-sided inverses, and associativity (checked
+    over all triples, one vectorized n x n slab at a time).
     """
 
     def __init__(self, table: Sequence[Sequence[int]],
@@ -97,13 +97,16 @@ class FiniteGroup:
         if not np.array_equal(np.sort(arr, axis=0), np.tile(idx[:, None], (1, n))):
             j = int(np.argwhere(np.sort(arr, axis=0) != idx[:, None])[0][1])
             raise GroupTableError(f"col {j} is not a permutation", col=j)
-        left = arr[arr, :]
-        right = arr[:, arr]
-        if not np.array_equal(left, right):
-            i, j, k = map(int, np.argwhere(left != right)[0])
-            raise GroupTableError(
-                f"associativity fails at ({i}*{j})*{k} != {i}*({j}*{k})",
-                row=i, col=j)
+        # (i*j)*k against i*(j*k), one n x n slab per i: the first failing
+        # slab's first (j, k) is the lexicographically first witness.
+        for i in range(n):
+            left = arr[arr[i], :]
+            right = arr[i][arr]
+            if not np.array_equal(left, right):
+                j, k = map(int, np.argwhere(left != right)[0])
+                raise GroupTableError(
+                    f"associativity fails at ({i}*{j})*{k} != {i}*({j}*{k})",
+                    row=i, col=j)
 
         inv = (arr == 0).argmax(axis=1)
         for i in range(n):

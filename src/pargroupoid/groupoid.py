@@ -22,6 +22,7 @@ from .group import (
     Subgroup,
     DEFAULT_ORDER_BOUND,
     indices_of_mask,
+    mask_from_indices,
     stabilizer_of_subset,
     subgroup_as_group,
 )
@@ -36,7 +37,18 @@ class GammaElement:
 
 
 class Gamma:
-    """All pairs (I, g) of a group, in canonical (mask, g) order."""
+    """All pairs (I, g) of a group, in canonical (mask, g) order.
+
+    The arrows of one mask are contiguous and ascending in g, so an arrow's
+    position is closed-form and no per-arrow index is kept. start[I >> 1]
+    arrows come before mask I; inside it, (I, g) follows one arrow for each
+    x in I with x^-1 < g, and below[g] is the mask of all such x in G:
+
+        position(I, g) = start[I >> 1] + (I & below[g]).bit_count()
+
+    The first arrow of each mask is its unit (e^-1 = e is the least g), so
+    the unit positions are start itself.
+    """
 
     def __init__(self, group: FiniteGroup, bound: int | None = None):
         limit = DEFAULT_ORDER_BOUND if bound is None else bound
@@ -45,15 +57,19 @@ class Gamma:
                 f"building the groupoid walks all subsets; order {group.order} "
                 f"exceeds the bound {limit}")
         self.group = group
-        elements: list[GammaElement] = []
         n = group.order
+        inv = group.inv
+        self.below = tuple(mask_from_indices(x for x in range(n) if inv[x] < g)
+                           for g in range(n))
+        start: list[int] = []
+        elements: list[GammaElement] = []
         for mask in range(1, 1 << n, 2):
-            gs = sorted(group.inverse(x) for x in indices_of_mask(mask))
+            start.append(len(elements))
+            gs = sorted(inv[x] for x in indices_of_mask(mask))
             elements.extend(GammaElement(mask, g) for g in gs)
         self.elements = tuple(elements)
-        self.index = {el: i for i, el in enumerate(elements)}
-        self._index_mg = {(el.mask, el.g): i for i, el in enumerate(elements)}
-        self.unit_indices = tuple(i for i, el in enumerate(elements) if el.g == 0)
+        self.start = tuple(start)
+        self.unit_indices = self.start
 
     @property
     def size(self) -> int:
@@ -62,14 +78,26 @@ class Gamma:
     def __repr__(self) -> str:
         return f"Gamma({self.group.name}, size={self.size})"
 
+    def position(self, mask: int, g: int) -> int:
+        """The index of the arrow (I, g) in elements; (I, g) must be one."""
+        return self.start[mask >> 1] + (mask & self.below[g]).bit_count()
+
+    def arrows_at(self, mask: int) -> tuple[GammaElement, ...]:
+        """The arrows with source I, ascending in g; I must contain e."""
+        lo = self.start[mask >> 1]
+        return self.elements[lo:lo + mask.bit_count()]
+
     def element(self, mask: int, g: int) -> GammaElement:
         """The validated pair (I, g); raises when it is not in the groupoid."""
-        el = GammaElement(mask, g)
-        if el not in self.index:
+        n = self.group.order
+        if not (0 <= mask < 1 << n and 0 <= g < n):
+            raise ValueError(
+                f"(mask {mask}, g {g}) is out of range for a group of order {n}")
+        if not mask & 1 or not mask >> self.group.inverse(g) & 1:
             raise ValueError(
                 f"({self.group.subset_repr(mask)}, {self.group.label(g)}) is not "
                 "a groupoid element: need e and the inverse of g inside I")
-        return el
+        return self.elements[self.position(mask, g)]
 
     def is_unit(self, x: GammaElement) -> bool:
         return x.g == 0
@@ -85,7 +113,7 @@ class Gamma:
         y = self.elements[j]
         if x.mask != self.group.left_translate(y.g, y.mask):
             return None
-        return self._index_mg[(y.mask, self.group.mul(x.g, y.g))]
+        return self.position(y.mask, self.group.mul(x.g, y.g))
 
     def source(self, x: GammaElement) -> GammaElement:
         return GammaElement(x.mask, 0)

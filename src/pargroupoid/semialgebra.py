@@ -14,6 +14,7 @@ and the to/from difference helpers move elements across that bridge.
 
 from __future__ import annotations
 
+import copy
 from random import Random
 from typing import Any, Callable, Iterable, Mapping
 
@@ -196,18 +197,16 @@ class SparseAlgebra:
     def with_scalars(self, scalars: SemiringSpec) -> "SparseAlgebra":
         """The same algebra over different scalars, cached per scalar system.
 
-        The cache is shared across the whole family, so hopping base -> delta
-        -> base lands on the original instance and element equality keeps
-        working.
+        A variant is a shallow copy with only the scalars replaced, so the
+        whole family shares one basis, one index and one cache; hopping base
+        -> delta -> base lands on the original instance and element equality
+        keeps working.
         """
         if scalars not in self._variants:
-            variant = self._rebuild(scalars)
-            variant._variants = self._variants
+            variant = copy.copy(self)
+            variant.scalars = scalars
             self._variants[scalars] = variant
         return self._variants[scalars]
-
-    def _rebuild(self, scalars: SemiringSpec) -> "SparseAlgebra":
-        raise NotImplementedError
 
     def basis_key(self, i: int):
         raise NotImplementedError
@@ -231,24 +230,25 @@ class GammaAlgebra(SparseAlgebra):
     def __repr__(self) -> str:
         return f"GammaAlgebra({self.gamma.group.name}, {self.scalars.name})"
 
-    def _rebuild(self, scalars: SemiringSpec) -> "GammaAlgebra":
-        return GammaAlgebra(self.gamma, scalars)
-
     def basis_product(self, i: int, j: int) -> int | None:
         return self.gamma.product_index(i, j)
 
     def convolve(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
         # Exact join: (I, g)(J, h) is defined iff I = hJ, so bucket y by hJ.
-        # Buckets keep y's order, so sums accumulate as in the double loop.
+        # Buckets keep y's order, so sums accumulate as in the double loop;
+        # each entry carries J's start so (J, gh) is found in closed form.
         gamma = self.gamma
         elements = gamma.elements
+        start = gamma.start
+        below = gamma.below
         translate = gamma.group.left_translate
-        buckets: dict[int, list[tuple[int, int, Any]]] = {}
+        buckets: dict[int, list[tuple[int, int, int, Any]]] = {}
         for j, b in y.items():
             el = elements[j]
-            buckets.setdefault(translate(el.g, el.mask), []).append((el.mask, el.g, b))
+            mask = el.mask
+            buckets.setdefault(translate(el.g, mask), []).append(
+                (start[mask >> 1], mask, el.g, b))
         cayley = gamma.group.cayley
-        index = gamma._index_mg
         sadd = self.scalars.add
         smul = self.scalars.mul
         out: dict[int, Any] = {}
@@ -258,8 +258,8 @@ class GammaAlgebra(SparseAlgebra):
             if bucket is None:
                 continue
             row = cayley[el.g]
-            for mask, h, b in bucket:
-                k = index[(mask, row[h])]
+            for offset, mask, h, b in bucket:
+                k = offset + (mask & below[row[h]]).bit_count()
                 c = smul(a, b)
                 out[k] = sadd(out[k], c) if k in out else c
         return out
@@ -290,9 +290,6 @@ class GroupAlgebra(SparseAlgebra):
 
     def __repr__(self) -> str:
         return f"GroupAlgebra({self.group.name}, {self.scalars.name})"
-
-    def _rebuild(self, scalars: SemiringSpec) -> "GroupAlgebra":
-        return GroupAlgebra(self.group, scalars)
 
     def basis_product(self, i: int, j: int) -> int:
         return self.group.mul(i, j)
@@ -328,9 +325,6 @@ class StandardAlgebra(SparseAlgebra):
     def __repr__(self) -> str:
         return (f"StandardAlgebra({self.groupoid.H.name}, "
                 f"m={self.groupoid.m}, {self.scalars.name})")
-
-    def _rebuild(self, scalars: SemiringSpec) -> "StandardAlgebra":
-        return StandardAlgebra(self.groupoid, scalars)
 
     def basis_product(self, i: int, j: int) -> int | None:
         m = self.groupoid.m

@@ -106,15 +106,20 @@ def stabilizer_census(G: FiniteGroup,
     return census
 
 
-def vertex_count_identity(G: FiniteGroup,
-                          bound: int | None = None) -> tuple[bool, tuple | None]:
+def vertex_count_identity(G: FiniteGroup, bound: int | None = None,
+                          counts: dict[tuple[int, int], int] | None = None,
+                          census: dict[tuple[int, int], int] | None = None
+                          ) -> tuple[bool, tuple | None]:
     """c_m([H]) * m must equal the number of census subsets across the class.
 
     Each component contributes m vertices, and every subset with conjugate
     stabilizer and matching size is a vertex of exactly one such component.
+    counts (the enumeration table) and census are computed when not given.
     """
-    counts = multiplicity_enumeration(G, bound)
-    census = stabilizer_census(G, bound)
+    if counts is None:
+        counts = multiplicity_enumeration(G, bound)
+    if census is None:
+        census = stabilizer_census(G, bound)
     classes = conjugacy_classes_of_subgroups(G, bound)
     rep_of, _ = _class_lookup(classes)
     by_class: dict[tuple[int, int], int] = {}
@@ -174,15 +179,18 @@ def multiplicity_recursion(G: FiniteGroup,
     return out
 
 
-def coset_count_identity(G: FiniteGroup,
-                         bound: int | None = None) -> tuple[bool, tuple | None]:
+def coset_count_identity(G: FiniteGroup, bound: int | None = None,
+                         census: dict[tuple[int, int], int] | None = None
+                         ) -> tuple[bool, tuple | None]:
     """Check the partition behind the recursion against the census.
 
     For every subgroup H and every m, the subsets containing e that are
     unions of m right H-cosets split by exact stabilizer B >= H into census
     classes of size N(B, m/(B:H)); their total must be binom((G:H)-1, m-1).
+    census is computed when not given.
     """
-    census = stabilizer_census(G, bound)
+    if census is None:
+        census = stabilizer_census(G, bound)
     subs = subgroups(G, bound)
     for H in subs:
         index = G.order // H.order
@@ -341,6 +349,10 @@ class DecompositionSummary:
     def audit_ok(self) -> bool:
         return self.audit_lhs == self.audit_rhs
 
+    def multiplicities(self) -> dict[tuple[int, int], int]:
+        """The enumeration table the blocks came from, keyed (class mask, m)."""
+        return {(b.subgroup.mask, b.m): b.c for b in self.blocks}
+
     def to_json(self) -> dict:
         return {
             "group": self.group,
@@ -393,6 +405,5 @@ def decomposition_report(G: FiniteGroup, scalars: SemiringSpec | None = None,
     """The full report: block table, audit, and the recursion diff."""
     summary = decompose(G, scalars, bound)
     doc = summary.to_json()
-    enum = {(b.subgroup.mask, b.m): b.c for b in summary.blocks}
-    doc["recursion_diff"] = recursion_diff(G, bound, enum)
+    doc["recursion_diff"] = recursion_diff(G, bound, summary.multiplicities())
     return doc

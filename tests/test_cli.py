@@ -1,14 +1,22 @@
 """Command-line behavior: documents, byte stability, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from groups_util import q8_doc
+from groups_util import build_roster, q8_doc
+from pargroupoid import cli, structure
 from pargroupoid.cli import run
+from pargroupoid.group import FiniteGroup, indices_of_mask
+from pargroupoid.groupoid import Gamma
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# sha256 of `gamma --group cyclic:16` (47,284,509 bytes of JSON)
+CYCLIC16_GAMMA_SHA256 = (
+    "70d8aaef1e6dafc67bee7543ca12aea1bf1c1455cff4a7db96546536a335ccbc")
 
 
 def _run(capsys, argv):
@@ -35,6 +43,99 @@ def test_gamma_counts_units(capsys):
     assert doc["size"] == 8
     assert doc["unit_count"] == 4
     assert sum(el["unit"] for el in doc["elements"]) == 4
+
+
+# The whole-document `gamma` output the streamed one replaced, kept as the
+# test-only oracle: one dict per arrow, then json.dumps or the text render.
+
+def _gamma_document_oracle(G: FiniteGroup) -> dict:
+    gamma = Gamma(G)
+    return {
+        "group": G.name,
+        "order": G.order,
+        "labels": [G.label(i) for i in G.elements()],
+        "size": gamma.size,
+        "unit_count": len(gamma.unit_indices),
+        "elements": [{"I": indices_of_mask(el.mask), "g": el.g,
+                      "unit": gamma.is_unit(el)}
+                     for el in gamma.elements],
+    }
+
+
+def _gamma_output_oracle(G: FiniteGroup, fmt: str) -> str:
+    d = _gamma_document_oracle(G)
+    if fmt == "json":
+        return json.dumps(d, indent=2) + "\n"
+    lines = [f"Gamma({d['group']}): {d['size']} arrows, "
+             f"{d['unit_count']} units"]
+    for el in d["elements"]:
+        names = ",".join(d["labels"][i] for i in el["I"])
+        tag = "  unit" if el["unit"] else ""
+        lines.append(f"  ({{{names}}}, {d['labels'][el['g']]}){tag}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("text", "txt")])
+def test_gamma_matches_golden_bytes(capsys, fmt, suffix):
+    code, out, _ = _run(capsys, ["gamma", "--group", "klein4", "--format", fmt])
+    assert code == 0
+    assert out == (GOLDEN / f"gamma_klein4.{suffix}").read_text()
+
+
+def test_gamma_order_16_bytes_are_pinned(capsys):
+    code, out, _ = _run(capsys, ["gamma", "--group", "cyclic:16"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CYCLIC16_GAMMA_SHA256
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_gamma_stream_matches_document_oracle(fmt):
+    for name, G in build_roster():
+        streamed = "".join(cli._gamma_chunks(Gamma(G), fmt))
+        assert streamed == _gamma_output_oracle(G, fmt), name
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_gamma_stream_escapes_labels_like_json_dumps(tmp_path, capsys, fmt):
+    # a quote, a backslash, non-ASCII and a character outside the BMP
+    labels = ["e", 'a"q\\b', "\u00e9\u4e2d\U0001F600"]
+    doc = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+           "labels": labels}
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    spec = f"table:{path}"
+    code, out, _ = _run(capsys, ["gamma", "--group", spec, "--format", fmt])
+    assert code == 0
+    G = FiniteGroup(doc["table"], labels, name=spec)
+    assert out == _gamma_output_oracle(G, fmt)
+
+
+def test_gamma_writes_nothing_before_failing(capsys):
+    code, out, err = _run(capsys, ["gamma", "--group", "cyclic:17"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_structure_suite_enumerates_once(monkeypatch, capsys):
+    calls = {"enumerate": 0, "census": 0}
+    enumerate_ = structure.multiplicity_enumeration
+    census = structure.stabilizer_census
+
+    def counting_enumerate(*args, **kwargs):
+        calls["enumerate"] += 1
+        return enumerate_(*args, **kwargs)
+
+    def counting_census(*args, **kwargs):
+        calls["census"] += 1
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "multiplicity_enumeration", counting_enumerate)
+    for module in (structure, cli):
+        monkeypatch.setattr(module, "stabilizer_census", counting_census)
+    code, doc, _ = _run_json(capsys, ["verify", "--suite", "structure",
+                                      "--group", "dihedral:4"])
+    assert code == 0 and doc["passed"]
+    assert calls == {"enumerate": 1, "census": 1}
 
 
 def test_decompose_order_two(capsys):

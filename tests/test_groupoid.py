@@ -245,6 +245,59 @@ def test_normal_form_is_a_groupoid_isomorphism(name, G):
                     assert q == images[p]
 
 
+# The per-arrow dict the closed-form position replaced, kept as the
+# test-only oracle, with the membership check the old Gamma.element ran on it.
+
+def _enumerate_index(gamma: Gamma) -> dict:
+    return {el: i for i, el in enumerate(gamma.elements)}
+
+
+def _element_oracle(gamma: Gamma, index: dict, mask: int, g: int) -> GammaElement:
+    el = GammaElement(mask, g)
+    if el not in index:
+        raise ValueError(
+            f"({gamma.group.subset_repr(mask)}, {gamma.group.label(g)}) is not "
+            "a groupoid element: need e and the inverse of g inside I")
+    return el
+
+
+@pytest.mark.parametrize("name,G", build_roster() + _order_16_groups())
+def test_position_matches_enumerate_index(name, G):
+    gamma = Gamma(G)
+    index = _enumerate_index(gamma)
+    for el, i in index.items():
+        assert gamma.position(el.mask, el.g) == i
+    assert gamma.unit_indices == tuple(i for el, i in index.items() if el.g == 0)
+    assert tuple(el for mask in range(1, 1 << G.order, 2)
+                 for el in gamma.arrows_at(mask)) == gamma.elements
+
+
+@pytest.mark.parametrize("name,G", build_roster())
+def test_element_rejects_what_the_dict_rejected(name, G):
+    gamma = Gamma(G)
+    index = _enumerate_index(gamma)
+    n = G.order
+    for mask in range(1 << n):
+        for g in range(n):
+            try:
+                expected = _element_oracle(gamma, index, mask, g)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    gamma.element(mask, g)
+                assert str(info.value) == str(exc)
+            else:
+                assert gamma.element(mask, g) == expected
+    # Out of range: never keys of the dict, so rejected as before. The old
+    # message could not be formed there: a label lookup past the end raised
+    # IndexError, g = -1 named the last label, and a negative mask never
+    # finished listing its bits.
+    for mask, g in [(-1, 0), (1 << n, 0), (1 | 1 << n, 0),
+                    (1, -1), (1, n), ((1 << n) - 1, n + 3)]:
+        assert GammaElement(mask, g) not in index
+        with pytest.raises(ValueError, match="out of range"):
+            gamma.element(mask, g)
+
+
 def test_order_bound_guard_and_override():
     # the default bound admits order 9; an explicit tighter one refuses it
     with pytest.raises(GroupOrderBoundError):

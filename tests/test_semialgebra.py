@@ -188,6 +188,9 @@ def test_scalar_family_is_shared():
     back = there.with_scalars(NAT)
     assert back is Z3_NAT
     assert there is Z3_NAT.with_scalars(D)
+    # one basis and one index serve the whole family
+    assert there.basis is Z3_NAT.basis and there.index is Z3_NAT.index
+    assert there.gamma is Z3_NAT.gamma and there.scalars is D
 
 
 def test_element_accumulates_duplicate_basis_keys():
