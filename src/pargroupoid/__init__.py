@@ -18,7 +18,6 @@ from .group import (
     conjugacy_classes_of_subgroups,
     from_table,
     generating_set,
-    left_translate,
     make_group,
     right_cosets,
     stabilizer_of_subset,
@@ -31,11 +30,8 @@ from .groupoid import (
     GammaElement,
     StandardElement,
     StandardGroupoid,
-    build_gamma,
     component_normal_form,
     connected_components,
-    gamma_product,
-    standard_product,
 )
 from .partial_rep import (
     AxiomCheck,
@@ -70,8 +66,6 @@ from .semialgebra import (
     element_from_delta,
     element_from_json,
     element_to_delta,
-    gamma_algebra_mul,
-    identity_element,
     matrix_algebra_for,
     matrix_from_delta,
     matrix_to_delta,
@@ -101,7 +95,6 @@ from .structure import (
     cross_component_orthogonality,
     decompose,
     decomposition_report,
-    dimension_audit,
     multiplicity_enumeration,
     multiplicity_recursion,
     recursion_diff,

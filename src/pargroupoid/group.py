@@ -13,10 +13,9 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 # Orders above this make full subset enumeration infeasible on a desk machine.
 DEFAULT_ORDER_BOUND = 16
@@ -57,12 +56,50 @@ def indices_of_mask(mask: int) -> list[int]:
     return out
 
 
+def _check_associative(rows: tuple[tuple[int, ...], ...]) -> None:
+    """Raise GroupTableError at the least (i, j, k) with (i*j)*k != i*(j*k).
+
+    The slab of i checks (i*j)*k == i*(j*k) for all j, k. The elements whose
+    slabs pass are closed under products (Light's associativity test, with
+    the tested element on the left instead of in the middle; Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1.2), so an element
+    reached from the identity by right multiplication with passed elements
+    needs no check. Candidates go in ascending order: an associative table
+    costs one slab per greedy generator, and the first failing slab is that
+    of the least witness.
+    """
+    n = len(rows)
+    # compose[j](rows[i]) is the row k -> i*(j*k)
+    compose = [itemgetter(*row) for row in rows]
+    gens: list[int] = []
+    reached = {0}
+    for i in range(1, n):
+        if i in reached:
+            continue
+        row_i = rows[i]
+        for j, right in enumerate(compose):
+            left, got = rows[row_i[j]], right(row_i)
+            if left != got:
+                k = next(k for k in range(n) if left[k] != got[k])
+                raise GroupTableError(
+                    f"associativity fails at ({i}*{j})*{k} != {i}*({j}*{k})",
+                    row=i, col=j)
+        gens.append(i)
+        stack = list(reached)
+        while stack:
+            x = rows[stack.pop()]
+            for g in gens:
+                if x[g] not in reached:
+                    reached.add(x[g])
+                    stack.append(x[g])
+
+
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with the identity at 0.
 
-    The constructor validates the full set of axioms: identity row/column,
-    Latin square property, two-sided inverses, and associativity (checked
-    over all triples, one vectorized n x n slab at a time).
+    The constructor validates the full set of axioms, in this order: entry
+    range, identity row/column, Latin square property, associativity (see
+    _check_associative), and two-sided inverses.
     """
 
     def __init__(self, table: Sequence[Sequence[int]],
@@ -74,49 +111,45 @@ class FiniteGroup:
             if len(row) != n:
                 raise GroupTableError(
                     f"row {i} has {len(row)} entries, expected {n}", row=i)
-        arr = np.asarray(table, dtype=np.int64)
-        if arr.min() < 0 or arr.max() >= n:
-            i, j = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
-            raise GroupTableError(
-                f"entry {int(arr[i, j])} at row {i}, col {j} is outside 0..{n - 1}",
-                row=i, col=j)
-        idx = np.arange(n)
-        if not np.array_equal(arr[0], idx):
-            j = int(np.argwhere(arr[0] != idx)[0][0])
+        rows = tuple(tuple(map(int, row)) for row in table)
+        for i, row in enumerate(rows):
+            if min(row) < 0 or max(row) >= n:
+                j = next(j for j, x in enumerate(row) if not 0 <= x < n)
+                raise GroupTableError(
+                    f"entry {row[j]} at row {i}, col {j} is outside 0..{n - 1}",
+                    row=i, col=j)
+        idx = tuple(range(n))
+        cols = tuple(zip(*rows))
+        if rows[0] != idx:
+            j = next(j for j in idx if rows[0][j] != j)
             raise GroupTableError(
                 f"identity must sit at index 0: row 0, col {j} holds "
-                f"{int(arr[0, j])}, expected {j}", row=0, col=j)
-        if not np.array_equal(arr[:, 0], idx):
-            i = int(np.argwhere(arr[:, 0] != idx)[0][0])
+                f"{rows[0][j]}, expected {j}", row=0, col=j)
+        if cols[0] != idx:
+            i = next(i for i in idx if cols[0][i] != i)
             raise GroupTableError(
                 f"identity must sit at index 0: row {i}, col 0 holds "
-                f"{int(arr[i, 0])}, expected {i}", row=i, col=0)
-        if not np.array_equal(np.sort(arr, axis=1), np.tile(idx, (n, 1))):
-            i = int(np.argwhere(np.sort(arr, axis=1) != idx)[0][0])
-            raise GroupTableError(f"row {i} is not a permutation", row=i)
-        if not np.array_equal(np.sort(arr, axis=0), np.tile(idx[:, None], (1, n))):
-            j = int(np.argwhere(np.sort(arr, axis=0) != idx[:, None])[0][1])
+                f"{cols[0][i]}, expected {i}", row=i, col=0)
+        for i, row in enumerate(rows):
+            if len(set(row)) != n:
+                raise GroupTableError(f"row {i} is not a permutation", row=i)
+        # The column reported is the one whose sorted entries leave
+        # 0, 1, ..., n-1 soonest, the least such column on a tie.
+        bad_cols = [(next(r for r, x in enumerate(sorted(col)) if r != x), j)
+                    for j, col in enumerate(cols) if len(set(col)) != n]
+        if bad_cols:
+            j = min(bad_cols)[1]
             raise GroupTableError(f"col {j} is not a permutation", col=j)
-        # (i*j)*k against i*(j*k), one n x n slab per i: the first failing
-        # slab's first (j, k) is the lexicographically first witness.
+        _check_associative(rows)
+        inv = tuple(row.index(0) for row in rows)
         for i in range(n):
-            left = arr[arr[i], :]
-            right = arr[i][arr]
-            if not np.array_equal(left, right):
-                j, k = map(int, np.argwhere(left != right)[0])
+            if rows[inv[i]][i] != 0:
                 raise GroupTableError(
-                    f"associativity fails at ({i}*{j})*{k} != {i}*({j}*{k})",
-                    row=i, col=j)
-
-        inv = (arr == 0).argmax(axis=1)
-        for i in range(n):
-            if arr[inv[i], i] != 0:
-                raise GroupTableError(
-                    f"element {i} has no two-sided inverse", row=int(inv[i]), col=i)
+                    f"element {i} has no two-sided inverse", row=inv[i], col=i)
 
         self.order = n
-        self.cayley = tuple(tuple(int(x) for x in row) for row in table)
-        self.inv = tuple(int(x) for x in inv)
+        self.cayley = rows
+        self.inv = inv
         self.name = name
         if labels is not None:
             labels = tuple(str(s) for s in labels)
@@ -318,10 +351,6 @@ def make_group(spec: str) -> FiniteGroup:
 
 # ---------------------------------------------------------------------------
 # Subset machinery.
-
-def left_translate(G: FiniteGroup, g: int, mask: int) -> int:
-    return G.left_translate(g, mask)
-
 
 def stabilizer_of_subset(G: FiniteGroup, mask: int) -> Subgroup:
     """The subgroup {g : g*I = I} of a subset I containing the identity.

@@ -129,14 +129,6 @@ class Gamma:
         return f"({self.group.subset_repr(x.mask)},{self.group.label(x.g)})"
 
 
-def build_gamma(group: FiniteGroup, bound: int | None = None) -> Gamma:
-    return Gamma(group, bound)
-
-
-def gamma_product(gamma: Gamma, x: GammaElement, y: GammaElement) -> GammaElement | None:
-    return gamma.product(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Connectivity.
 
@@ -256,11 +248,6 @@ class StandardGroupoid:
 
     def units(self) -> list[StandardElement]:
         return [StandardElement(0, i, i) for i in range(1, self.m + 1)]
-
-
-def standard_product(groupoid: StandardGroupoid, a: StandardElement,
-                     b: StandardElement) -> StandardElement | None:
-    return groupoid.product(a, b)
 
 
 @dataclass(frozen=True)

@@ -508,21 +508,6 @@ class MatrixElement:
 
 
 # ---------------------------------------------------------------------------
-# Convolution wrappers and units under their interface names.
-
-def gamma_algebra_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Convolution in the groupoid semialgebra; undefined products drop out."""
-    if not isinstance(x.algebra, GammaAlgebra):
-        raise BasisMismatchError(f"expected groupoid-basis elements, got {x.algebra!r}")
-    return x * y
-
-
-def identity_element(algebra: SparseAlgebra) -> AlgebraElement:
-    """The sum of all units with coefficient one; the two-sided identity."""
-    return algebra.one()
-
-
-# ---------------------------------------------------------------------------
 # The triple-basis / matrix-unit comparison.
 
 def standard_to_matrix(x: AlgebraElement, target: MatrixAlgebra) -> MatrixElement:
@@ -737,7 +722,3 @@ def element_from_json(algebra: SparseAlgebra, doc: dict) -> AlgebraElement:
     for term in doc["terms"]:
         pairs.append((algebra.basis_from_key(term["b"]), parse(term["c"])))
     return algebra.element(pairs)
-
-
-#: Elements of any free-basis semialgebra here share one concrete type.
-SemialgebraElement = AlgebraElement

@@ -394,12 +394,6 @@ def decompose(G: FiniteGroup, scalars: SemiringSpec | None = None,
         components_verified=verified)
 
 
-def dimension_audit(G: FiniteGroup, bound: int | None = None) -> tuple[int, int, bool]:
-    """Both sides of the dimension identity and whether they agree."""
-    summary = decompose(G, bound=bound)
-    return summary.audit_lhs, summary.audit_rhs, summary.audit_ok
-
-
 def decomposition_report(G: FiniteGroup, scalars: SemiringSpec | None = None,
                          bound: int | None = None) -> dict:
     """The full report: block table, audit, and the recursion diff."""

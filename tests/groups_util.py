@@ -66,3 +66,10 @@ def build_roster() -> list[tuple[str, FiniteGroup]]:
                                 make_group("klein4"), "Z2^3")),
     ]
     return sorted(groups, key=lambda item: (item[1].order, item[0]))
+
+
+def order_16_roster() -> list[tuple[str, FiniteGroup]]:
+    """Three groups of order 16: cyclic, dihedral and Z4 x Z4."""
+    z4 = make_group("cyclic:4")
+    return [("Z16", make_group("cyclic:16")), ("D8", make_group("dihedral:8")),
+            ("Z4xZ4", direct_product(z4, z4, "Z4xZ4"))]

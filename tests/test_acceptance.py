@@ -39,7 +39,6 @@ from pargroupoid.semiring import (
 from pargroupoid.structure import (
     coset_count_identity,
     decompose,
-    dimension_audit,
     recursion_diff,
 )
 
@@ -83,8 +82,8 @@ def test_c02_golden_decompositions():
 
 def test_c03_dimension_identity(roster):
     for name, G in roster:
-        lhs, rhs, ok = dimension_audit(G)
-        assert ok and lhs == SIZES[G.order], name
+        summary = decompose(G)
+        assert summary.audit_ok and summary.audit_lhs == SIZES[G.order], name
     print("ACCEPTANCE C3 PASS dimension identity, all 14 classes of order <= 8")
 
 

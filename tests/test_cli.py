@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pargroupoid
 from groups_util import build_roster, q8_doc
 from pargroupoid import cli, structure
 from pargroupoid.cli import run
@@ -253,6 +257,9 @@ def test_bad_table_exits_3(tmp_path, capsys):
     {"order": 2, "table": [[False, 1], [1, 0]]},
     {"order": 2, "table": [[0, 1], [1, 0]], "labels": ["e", "e"]},
     {"order": 2, "table": [[0, 1], [1, 0]], "labels": "ea"},
+    # entries past 64 bits are still just out of range
+    {"order": 2, "table": [[0, 10**30], [1, 0]]},
+    {"order": 2, "table": [[0, -10**30], [1, 0]]},
 ])
 def test_malformed_table_exits_3_with_one_line(tmp_path, capsys, doc):
     path = tmp_path / "malformed.json"
@@ -260,6 +267,14 @@ def test_malformed_table_exits_3_with_one_line(tmp_path, capsys, doc):
     code, out, err = _run(capsys, ["gamma", "--group", f"table:{path}"])
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    src = Path(pargroupoid.__file__).resolve().parents[1]
+    probe = "import sys, pargroupoid.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_order_bound_env_and_flag(monkeypatch, capsys):

@@ -1,11 +1,14 @@
 """Group construction, subset machinery, and the subgroup lattice."""
 
 import json
+import random
 import tracemalloc
+from collections import Counter
+from itertools import product
 
 import pytest
 
-from groups_util import build_roster, direct_product, q8, q8_doc
+from groups_util import build_roster, direct_product, order_16_roster, q8, q8_doc
 from pargroupoid.group import (
     FiniteGroup,
     GroupOrderBoundError,
@@ -52,6 +55,8 @@ def test_table_ingestion_via_spec(tmp_path):
     (lambda d: d.pop("table"), "missing key"),
     (lambda d: d["table"][3].pop(), "row 3 has 7 entries"),
     (lambda d: d["table"][3].__setitem__(0, 99), "outside 0..7"),
+    (lambda d: d["table"][3].__setitem__(5, -10**30),
+     f"entry {-10**30} at row 3, col 5 is outside 0..7"),
     (lambda d: d["table"].__setitem__(0, [1, 0, 2, 3, 4, 5, 6, 7]),
      "identity must sit at index 0"),
     (lambda d: d["table"][2].__setitem__(3, d["table"][2][4]), "not a permutation"),
@@ -82,12 +87,13 @@ def test_table_rejects_bools_duplicate_and_string_labels(doc, fragment):
 
 
 def test_associativity_validation():
-    # swapping two entries keeps rows/columns permutations but breaks
-    # associativity: the Latin square of Z4 with a transposition applied
-    doc = {"order": 4, "table": [[0, 1, 2, 3], [1, 2, 3, 0],
-                                 [2, 3, 1, 0], [3, 0, 1, 2]]}
-    doc["table"][3] = [3, 0, 2, 1]
-    with pytest.raises(GroupTableError):
+    # every loop of order at most 4 is a group, so the smallest table that
+    # fails the associativity check has order 5: this one is a Latin square
+    # with the identity at 0 in which every element is its own inverse
+    doc = {"order": 5, "table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2],
+                                 [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                                 [4, 3, 1, 2, 0]]}
+    with pytest.raises(GroupTableError, match="associativity fails"):
         from_table(doc)
 
 
@@ -106,8 +112,8 @@ def test_associativity_witness_is_the_first_failing_triple():
 
 
 def test_validation_memory_is_quadratic():
-    # the associativity sweep works one n x n slab at a time; the whole
-    # n^3 sweep needed 138 MB at order 200
+    # validation holds the table, its columns and one row getter per row,
+    # all of size n^2; an n^3 sweep needed 138 MB at order 200
     tracemalloc.start()
     try:
         make_group("cyclic:200")
@@ -115,6 +121,133 @@ def test_validation_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 1024 * 1024
+
+
+def _brute_force_verdict(table):
+    """The table checks as plain loops: None for a group, else (message, row, col).
+
+    The test-only oracle for FiniteGroup's validation: the same checks in the
+    same order, associativity by the full triple loop.
+    """
+    n = len(table)
+    for i, j in product(range(n), repeat=2):
+        if not 0 <= table[i][j] < n:
+            return f"entry {table[i][j]} at row {i}, col {j} is outside 0..{n - 1}", i, j
+    for j in range(n):
+        if table[0][j] != j:
+            return (f"identity must sit at index 0: row 0, col {j} holds "
+                    f"{table[0][j]}, expected {j}", 0, j)
+    for i in range(n):
+        if table[i][0] != i:
+            return (f"identity must sit at index 0: row {i}, col 0 holds "
+                    f"{table[i][0]}, expected {i}", i, 0)
+    for i in range(n):
+        if sorted(table[i]) != list(range(n)):
+            return f"row {i} is not a permutation", i, None
+    # scan the column-sorted table row by row for its first entry r != r
+    sorted_cols = [sorted(table[i][j] for i in range(n)) for j in range(n)]
+    for r, j in product(range(n), repeat=2):
+        if sorted_cols[j][r] != r:
+            return f"col {j} is not a permutation", None, j
+    for i, j, k in product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return f"associativity fails at ({i}*{j})*{k} != {i}*({j}*{k})", i, j
+    for i in range(n):
+        inv = table[i].index(0)
+        if table[inv][i] != 0:
+            return f"element {i} has no two-sided inverse", inv, i
+    return None
+
+
+def _verdict(table):
+    try:
+        FiniteGroup(table)
+    except GroupTableError as err:
+        return str(err), err.row, err.col
+    return None
+
+
+def _random_loop(rng, n):
+    """A random Latin square with the identity at 0, filled by backtracking."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = list(product(range(1, n), repeat=2))
+
+    def fill(c):
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [x for x in range(n) if x not in used]
+        rng.shuffle(options)
+        for table[i][j] in options:
+            if fill(c + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    fill(0)
+    return table
+
+
+def _relabel(rng, table):
+    """The same table under a random relabelling that keeps 0 at 0."""
+    n = len(table)
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    out = [[0] * n for _ in range(n)]
+    for a, b in product(range(n), repeat=2):
+        out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def _nucleus_loop():
+    # (a, s) at index 3s + a with (a, s)(b, t) = (a + b + stb mod 3, s xor t):
+    # a loop of order 6 whose elements with s = 0 associate on the left with
+    # everything, so a check that stops after one passing generator misses it
+    return [[(s ^ t) * 3 + (a + b + s * t * b) % 3
+             for t in range(2) for b in range(3)]
+            for s in range(2) for a in range(3)]
+
+
+def _random_tables(count=2000):
+    """Seeded tables of order 5-7: random loops, relabelled groups and loops
+    with a large left nucleus, and loops with one entry or one row spoilt."""
+    rng = random.Random(20231)
+    bases = [_nucleus_loop()] + [list(map(list, make_group(spec).cayley))
+                                 for spec in ("cyclic:5", "cyclic:6", "sym:3", "cyclic:7")]
+    for case in range(count):
+        kind = case % 4
+        if kind == 1:
+            yield _relabel(rng, rng.choice(bases))
+            continue
+        n = rng.randint(5, 7)
+        table = _random_loop(rng, n)
+        if kind == 2:
+            table[rng.randrange(n)][rng.randrange(n)] = rng.randint(-1, n)
+        elif kind == 3:
+            row = table[rng.randrange(1, n)]
+            row[1:] = rng.sample(row[1:], n - 1)
+        yield table
+
+
+def test_validation_matches_brute_force_on_random_tables():
+    verdicts = Counter()
+    for table in _random_tables():
+        expected = _brute_force_verdict(table)
+        assert _verdict(table) == expected, table
+        verdicts[expected[0].split(" ")[0] if expected else "group"] += 1
+    # every check is reached but the inverse check, which no loop that
+    # passed associativity can fail, and groups are accepted
+    assert set(verdicts) == {"entry", "identity", "row", "col", "associativity",
+                             "group"}, verdicts
+
+
+@pytest.mark.parametrize("name, G", build_roster() + order_16_roster()
+                         + [("S5", make_group("sym:5"))])
+def test_validation_matches_brute_force_on_groups(name, G):
+    table = [list(row) for row in G.cayley]
+    assert _brute_force_verdict(table) is None
+    assert _verdict(table) is None
+    assert _verdict(_relabel(random.Random(G.order), table)) is None
 
 
 def test_q8_is_the_quaternion_group():

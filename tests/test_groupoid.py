@@ -2,7 +2,7 @@
 
 import pytest
 
-from groups_util import build_roster, direct_product
+from groups_util import build_roster, order_16_roster
 from pargroupoid.group import (
     GroupOrderBoundError,
     indices_of_mask,
@@ -14,11 +14,8 @@ from pargroupoid.groupoid import (
     GammaElement,
     StandardElement,
     StandardGroupoid,
-    build_gamma,
     component_normal_form,
     connected_components,
-    gamma_product,
-    standard_product,
     unit_components,
 )
 
@@ -27,7 +24,7 @@ SMALL = [item for item in build_roster() if item[1].order <= 6]
 
 def test_z2_groupoid_by_hand():
     G = make_group("cyclic:2")
-    gamma = build_gamma(G)
+    gamma = Gamma(G)
     e, a = 0, 1
     assert set(gamma.elements) == {
         GammaElement(0b01, e),   # ({e}, e)
@@ -39,12 +36,12 @@ def test_z2_groupoid_by_hand():
     u2 = GammaElement(0b11, e)
     # t has source {e,a} and range a*{e,a} = {e,a}; both unit arrows are u2
     assert gamma.source(t) == u2 and gamma.range_of(t) == u2
-    assert gamma_product(gamma, t, t) == u2
-    assert gamma_product(gamma, u2, t) == t == gamma_product(gamma, t, u2)
+    assert gamma.product(t, t) == u2
+    assert gamma.product(u2, t) == t == gamma.product(t, u2)
     # ({e}, e) composes with nothing but itself
-    assert gamma_product(gamma, u1, t) is None
-    assert gamma_product(gamma, t, u1) is None
-    assert gamma_product(gamma, u1, u1) == u1
+    assert gamma.product(u1, t) is None
+    assert gamma.product(t, u1) is None
+    assert gamma.product(u1, u1) == u1
 
 
 def test_membership_requires_identity_and_inverse():
@@ -176,13 +173,7 @@ def _union_find_components(G):
     return [tuple(sorted(groups[root])) for root in sorted(groups)]
 
 
-def _order_16_groups():
-    z4 = make_group("cyclic:4")
-    return [("Z16", make_group("cyclic:16")), ("D8", make_group("dihedral:8")),
-            ("Z4xZ4", direct_product(z4, z4, "Z4xZ4"))]
-
-
-@pytest.mark.parametrize("name,G", build_roster() + _order_16_groups())
+@pytest.mark.parametrize("name,G", build_roster() + order_16_roster())
 def test_unit_components_match_union_find_oracle(name, G):
     found = unit_components(G)
     assert [vertices for vertices, _ in found] == _union_find_components(G)
@@ -214,8 +205,8 @@ def test_standard_groupoid_products():
     std = StandardGroupoid(H, 3)
     a = StandardElement(1, 1, 2)
     b = StandardElement(1, 2, 3)
-    assert standard_product(std, a, b) == StandardElement(0, 1, 3)
-    assert standard_product(std, b, a) is None  # indices do not chain
+    assert std.product(a, b) == StandardElement(0, 1, 3)
+    assert std.product(b, a) is None  # indices do not chain
     assert len(std.elements) == 2 * 3 * 3
     assert set(std.units()) == {StandardElement(0, i, i) for i in (1, 2, 3)}
 
@@ -261,7 +252,7 @@ def _element_oracle(gamma: Gamma, index: dict, mask: int, g: int) -> GammaElemen
     return el
 
 
-@pytest.mark.parametrize("name,G", build_roster() + _order_16_groups())
+@pytest.mark.parametrize("name,G", build_roster() + order_16_roster())
 def test_position_matches_enumerate_index(name, G):
     gamma = Gamma(G)
     index = _enumerate_index(gamma)

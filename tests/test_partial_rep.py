@@ -12,7 +12,6 @@ from pargroupoid.semialgebra import (
     BasisMismatchError,
     GammaAlgebra,
     GroupAlgebra,
-    identity_element,
 )
 from pargroupoid.partial_rep import (
     Epsilon,
@@ -167,7 +166,7 @@ def test_broken_composition_is_caught_by_both_systems():
 def test_lambda_p_images_for_order_two():
     alg = GammaAlgebra(Gamma(Z2), QNN)
     lam = lambda_p(alg)
-    assert lam.image(0) == identity_element(alg)
+    assert lam.image(0) == alg.one()
     assert lam.image(1) == alg.basis_element(GammaElement(0b11, 1))
 
 

@@ -26,7 +26,6 @@ from pargroupoid.structure import (
     cross_component_orthogonality,
     decompose,
     decomposition_report,
-    dimension_audit,
     gamma_size_from_subsets,
     multiplicity_enumeration,
     multiplicity_recursion,
@@ -108,8 +107,8 @@ def test_counting_identities(roster):
 
 def test_dimension_audit(roster):
     for name, G in roster:
-        lhs, rhs, ok = dimension_audit(G)
-        assert ok and lhs == GAMMA_SIZES[G.order], name
+        summary = decompose(G)
+        assert summary.audit_ok and summary.audit_lhs == GAMMA_SIZES[G.order], name
 
 
 def test_stabilizer_census_partitions_the_subsets(roster):
