@@ -98,8 +98,9 @@ class FiniteGroup:
     """A finite group on element indices 0..order-1 with the identity at 0.
 
     The constructor validates the full set of axioms, in this order: entry
-    range, identity row/column, Latin square property, associativity (see
-    _check_associative), and two-sided inverses.
+    range, identity row/column, Latin square property, and associativity (see
+    _check_associative). Two-sided inverses follow: an associative Latin
+    square with an identity is a group.
     """
 
     def __init__(self, table: Sequence[Sequence[int]],
@@ -142,10 +143,6 @@ class FiniteGroup:
             raise GroupTableError(f"col {j} is not a permutation", col=j)
         _check_associative(rows)
         inv = tuple(row.index(0) for row in rows)
-        for i in range(n):
-            if rows[inv[i]][i] != 0:
-                raise GroupTableError(
-                    f"element {i} has no two-sided inverse", row=inv[i], col=i)
 
         self.order = n
         self.cayley = rows

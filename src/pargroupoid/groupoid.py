@@ -287,10 +287,14 @@ class ComponentIsomorphism:
         return {x: i for i, x in enumerate(self.iso_elements)}
 
     def arrows(self) -> list[GammaElement]:
-        """All arrows of the component, in the gamma's canonical order."""
+        """All arrows of the component, in the gamma's canonical order.
+
+        Vertices ascend and the arrows of one source ascend in g, so reading
+        them vertex by vertex keeps the (mask, g) order of the whole gamma.
+        """
         comp = self.component
-        vset = set(comp.vertices)
-        return [el for el in comp.gamma.elements if el.mask in vset]
+        gamma = comp.gamma
+        return [x for v in comp.vertices for x in gamma.arrows_at(v)]
 
 
 def component_normal_form(comp: ComponentReport) -> ComponentIsomorphism:

@@ -456,23 +456,21 @@ class MatrixElement:
         m = self.algebra.m
         zero = self.algebra.entries.zero()
         rows = []
-        for r in range(m):
-            # skipping zero entries keeps products of near-empty matrices
-            # (matrix units, permutation matrices) cheap
-            row = []
-            for c in range(m):
-                acc = None
-                for k in range(m):
-                    a = self.rows[r][k]
-                    if not a.coeffs:
-                        continue
-                    b = other.rows[k][c]
+        for a_row in self.rows:
+            # a zero entry a = a_row[k] is skipped once for the whole row of
+            # the result, which keeps products of near-empty matrices (matrix
+            # units, permutation matrices) cheap; each cell still sums over k
+            # in ascending order
+            acc: list[AlgebraElement | None] = [None] * m
+            for a, b_row in zip(a_row, other.rows):
+                if not a.coeffs:
+                    continue
+                for c, b in enumerate(b_row):
                     if not b.coeffs:
                         continue
                     term = a * b
-                    acc = term if acc is None else acc + term
-                row.append(zero if acc is None else acc)
-            rows.append(tuple(row))
+                    acc[c] = term if acc[c] is None else acc[c] + term
+            rows.append(tuple(zero if cell is None else cell for cell in acc))
         return MatrixElement(self.algebra, tuple(rows))
 
     def scale(self, c) -> "MatrixElement":
@@ -483,7 +481,8 @@ class MatrixElement:
         if not isinstance(other, MatrixElement):
             return NotImplemented
         self._check_same(other)
-        return all(a == b for ra, rb in zip(self.rows, other.rows)
+        return all((not a.coeffs and not b.coeffs) or a == b
+                   for ra, rb in zip(self.rows, other.rows)
                    for a, b in zip(ra, rb))
 
     __hash__ = None

@@ -12,6 +12,12 @@ of isotropy, m) gives the block table
 with the dimension audit sum of c * m^2 * |H| equal to the basis size
 sum over subsets I containing e of |I|.
 
+The isomorphism of a component onto M_m(KH) is checked in the two steps of
+its proof (Steinberg, Adv. Math. 2010; Dokuchaev-Exel-Piccione, J. Algebra
+2000): the component is the groupoid H x (pair groupoid on m points), checked
+in integers per component, and the algebra of that groupoid is M_m(KH),
+checked with matrix products once per block type.
+
 Multiplicities are indexed by conjugacy classes because the isotropy groups
 of the vertices of one component are only conjugation-equivalent; attributing
 a component to a single subgroup is not well-defined. The exhaustive
@@ -255,60 +261,124 @@ class ComponentMatrixIso:
         return standard_to_matrix(self.standard.basis_element(s), self.matrix)
 
 
-def _verify_component_iso(iso: ComponentMatrixIso) -> None:
-    nf = iso.normal_form
-    comp = iso.component
+def _verify_normal_form(nf: ComponentIsomorphism) -> None:
+    """Check that the normal form is a groupoid isomorphism, in integers.
+
+    The arrows, read vertex by vertex, must number m^2 |H| and map into the
+    triples with from_standard as a left inverse; the map is then injective
+    and so a bijection. Each arrow's source vertex number must be its
+    triple's j, and its range vertex number the triple's i. Products are
+    checked on composable pairs only: for each y, every x whose source is the
+    range of y, m^3 |H|^2 pairs in all. Any other pair has source(x) !=
+    range(y), and as the map keeps sources and ranges its triples do not
+    compose either.
+    """
+    comp = nf.component
     gamma = comp.gamma
+    std = nf.standard
     arrows = nf.arrows()
-    if len(arrows) != iso.standard.size:
+    if len(arrows) != std.size:
         raise AssertionError(
             f"component at {gamma.group.subset_repr(comp.base_vertex)}: "
-            f"{len(arrows)} arrows vs {iso.standard.size} triples")
-    images = [nf.to_standard(x) for x in arrows]
-    if len(set(images)) != len(arrows):
-        raise AssertionError("normal form is not injective on arrows")
-    for x, s in zip(arrows, images):
+            f"{len(arrows)} arrows vs {std.size} triples")
+    number = {v: k for k, v in enumerate(comp.vertices, start=1)}
+    triples = set(std.elements)
+    image = {}
+    for x in arrows:
+        try:
+            s = nf.to_standard(x)
+        except KeyError:
+            raise AssertionError(
+                f"normal form sends {gamma.describe(x)} outside the isotropy") from None
+        if s not in triples:
+            raise AssertionError(
+                f"normal form sends {gamma.describe(x)} to {s}, not a triple")
+        if number[x.mask] != s.j or number.get(gamma.range_of(x).mask) != s.i:
+            raise AssertionError(
+                f"normal form moves the source or range of {gamma.describe(x)}")
         if nf.from_standard(s) != x:
             raise AssertionError(f"normal form round trip fails at {gamma.describe(x)}")
-    mats = {x: iso.arrow_to_matrix(x) for x in arrows}
-    zero = iso.matrix.zero()
-    for x in arrows:
-        for y in arrows:
+        image[x] = s
+    for y in arrows:
+        sy = image[y]
+        for x in gamma.arrows_at(gamma.range_of(y).mask):
             p = gamma.product(x, y)
-            expected = zero if p is None else mats[p]
-            if mats[x] * mats[y] != expected:
+            if p is None or std.product(image[x], sy) != image.get(p):
+                raise AssertionError(
+                    f"normal form fails multiplicativity at "
+                    f"{gamma.describe(x)} * {gamma.describe(y)}")
+
+
+def _verify_block_type(standard: StandardAlgebra, matrix: MatrixAlgebra) -> None:
+    """Check that the triple-to-matrix map is multiplicative on the basis.
+
+    All (m^2 |H|)^2 pairs of basis triples are multiplied as genuine grids
+    and compared with the image of the triple product, or with zero when the
+    triples do not compose.
+    """
+    groupoid = standard.groupoid
+    basis = standard.basis
+    index = standard.index
+    mats = [standard_to_matrix(standard.basis_element(b), matrix) for b in basis]
+    zero = matrix.zero()
+    for a, ma in zip(basis, mats):
+        for b, mb in zip(basis, mats):
+            p = groupoid.product(a, b)
+            if ma * mb != (zero if p is None else mats[index[p]]):
                 raise AssertionError(
                     f"matrix images fail multiplicativity at "
-                    f"{gamma.describe(x)} * {gamma.describe(y)}")
+                    f"{standard.describe_basis(index[a])} * "
+                    f"{standard.describe_basis(index[b])}")
 
 
 def component_to_matrix_iso(comp: ComponentReport,
                             scalars: SemiringSpec = QNN,
-                            verify: bool = True) -> ComponentMatrixIso:
+                            verify: bool = True,
+                            checked_types: set | None = None) -> ComponentMatrixIso:
     """The isomorphism of one component onto M_m(KH), verified by default.
 
-    Verification checks bijectivity on arrows and multiplicativity of the
-    matrix images over all arrow pairs of the component, with genuine matrix
-    products on the right-hand side.
+    Verification follows the two steps of the proof (Steinberg, "A groupoid
+    approach to discrete inverse semigroup algebras", Adv. Math. 2010; for
+    KGamma(G), Dokuchaev-Exel-Piccione, J. Algebra 2000). First, the normal
+    form is a groupoid isomorphism onto the triples over H on m points,
+    checked in integers on the component's composable pairs. Second, the map
+    (h, i, j) -> h E_ij from the algebra of the triples to the m x m matrices
+    over KH is multiplicative, checked on all basis pairs with genuine matrix
+    products. The composite sends the arrows bijectively onto the matrix units
+    and is multiplicative on basis pairs, so it is an algebra isomorphism.
+
+    The second step depends only on (m, the re-indexed table of H, scalars):
+    equal keys build equal algebras. A key already in checked_types is not
+    checked again, and a key checked here is added to it.
     """
     nf = component_normal_form(comp)
     standard = StandardAlgebra(nf.standard, scalars)
     iso = ComponentMatrixIso(comp, nf, standard, matrix_algebra_for(standard))
     if verify:
-        _verify_component_iso(iso)
+        _verify_normal_form(nf)
+        checked = set() if checked_types is None else checked_types
+        key = (comp.m, nf.standard.H.cayley, scalars)
+        if key not in checked:
+            _verify_block_type(standard, iso.matrix)
+            checked.add(key)
     return iso
 
 
 def cross_component_orthogonality(gamma: Gamma) -> tuple[bool, tuple | None]:
-    """No product is defined across two different components."""
+    """No product is defined across two different components.
+
+    x * y is defined exactly when the source of x is the range of y, so the
+    claim is that each arrow's range lies in the arrow's own component. A
+    failure is witnessed by the pair (the unit at the range of y, y).
+    """
     comp_of: dict[int, int] = {}
     for idx, comp in enumerate(connected_components(gamma)):
         for v in comp.vertices:
             comp_of[v] = idx
-    for x in gamma.elements:
-        for y in gamma.elements:
-            if comp_of[x.mask] != comp_of[y.mask] and gamma.product(x, y) is not None:
-                return False, (gamma.describe(x), gamma.describe(y))
+    for y in gamma.elements:
+        r = gamma.range_of(y)
+        if comp_of[r.mask] != comp_of[y.mask]:
+            return False, (gamma.describe(r), gamma.describe(y))
     return True, None
 
 
@@ -370,7 +440,11 @@ def decompose(G: FiniteGroup, scalars: SemiringSpec | None = None,
     Without scalars this is purely combinatorial and never builds the
     groupoid. With scalars, the groupoid is built and every component's
     matrix isomorphism is verified exhaustively over those scalars before the
-    summary is returned.
+    summary is returned. The check follows the two-step proof of the block
+    structure (Steinberg 2010; Dokuchaev-Exel-Piccione 2000), as in
+    component_to_matrix_iso: the normal form is checked once per component,
+    and the triple-to-matrix map once per block type (m, table of H) met in
+    this call.
     """
     _check_bound(G, bound, "decomposing")
     counts = multiplicity_enumeration(G, bound)
@@ -378,8 +452,10 @@ def decompose(G: FiniteGroup, scalars: SemiringSpec | None = None,
     verified = None
     if scalars is not None:
         comps = connected_components(Gamma(G, bound))
+        checked_types: set = set()
         for comp in comps:
-            component_to_matrix_iso(comp, scalars, verify=True)
+            component_to_matrix_iso(comp, scalars, verify=True,
+                                    checked_types=checked_types)
         verified = len(comps)
     blocks = tuple(
         BlockDescriptor(rep_sub[mask], m, counts[(mask, m)])

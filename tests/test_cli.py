@@ -160,6 +160,13 @@ def test_decompose_matches_golden_bytes(capsys, spec):
     assert out == (GOLDEN / f"decompose_{name}.json").read_text()
 
 
+def test_verify_structure_matches_golden_bytes(capsys):
+    code, out, _ = _run(capsys, ["verify", "--suite", "structure",
+                                 "--group", "dihedral:4", "--seed", "5"])
+    assert code == 0
+    assert out == (GOLDEN / "verify_structure_dihedral4.json").read_text()
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     _, first, _ = _run(capsys, ["verify", "--group", "cyclic:2", "--suite", "laws"])
     _, second, _ = _run(capsys, ["verify", "--group", "cyclic:2", "--suite", "laws"])

@@ -263,6 +263,66 @@ def test_matrix_product_against_oracle():
         assert alg.one() * X == X and X * alg.one() == X
 
 
+# The grid kernel that skipped zeros once per (r, c, k), kept as the
+# test-only oracle for the per-(r, k) skip that replaced it.
+def _cell_skip_product(X, Y):
+    alg = X.algebra
+    m = alg.m
+    zero = alg.entries.zero()
+    rows = []
+    for r in range(m):
+        row = []
+        for c in range(m):
+            acc = None
+            for k in range(m):
+                a = X.rows[r][k]
+                if not a.coeffs:
+                    continue
+                b = Y.rows[k][c]
+                if not b.coeffs:
+                    continue
+                term = a * b
+                acc = term if acc is None else acc + term
+            row.append(zero if acc is None else acc)
+        rows.append(tuple(row))
+    return rows
+
+
+def _sparse_grid(alg, rng):
+    # a random grid with about half of its cells empty
+    X = alg.random_element(rng, terms=3)
+    zero = alg.entries.zero()
+    return alg.element([[zero if rng.random() < 0.5 else cell for cell in row]
+                        for row in X.rows])
+
+
+@pytest.mark.parametrize("scalars", [QNN, delta_of(QNN)], ids=["qnn", "delta"])
+def test_matrix_product_gives_the_cell_skip_coefficients(scalars):
+    # same coefficient dicts, in items and in key order, dense or sparse
+    rng = random.Random(41)
+    for H in (Z3, make_group("klein4"), make_group("sym:3")):
+        for m in (1, 2, 3, 4):
+            alg = MatrixAlgebra(GroupAlgebra(H, scalars), m)
+            for trial in range(8):
+                dense = trial % 2 == 0
+                X = alg.random_element(rng, 3) if dense else _sparse_grid(alg, rng)
+                Y = alg.random_element(rng, 3) if dense else _sparse_grid(alg, rng)
+                got = [[list(cell.coeffs.items()) for cell in row]
+                       for row in (X * Y).rows]
+                want = [[list(cell.coeffs.items()) for cell in row]
+                        for row in _cell_skip_product(X, Y)]
+                assert got == want
+
+
+def test_matrix_equality_over_empty_cells():
+    alg = MatrixAlgebra(GroupAlgebra(Z3, QNN), 3)
+    assert alg.zero() == alg.zero()
+    assert alg.matrix_unit(1, 2) == alg.matrix_unit(1, 2)
+    assert alg.matrix_unit(1, 2) != alg.matrix_unit(2, 1)
+    assert alg.matrix_unit(1, 2) != alg.zero()
+    assert alg.zero() != alg.matrix_unit(3, 3)
+
+
 def test_matrix_entry_indexing_is_one_based():
     alg = MatrixAlgebra(GroupAlgebra(Z3, QNN), 2)
     X = alg.matrix_unit(1, 2)

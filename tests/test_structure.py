@@ -1,12 +1,13 @@
 """Block decomposition: multiplicities, identities, verified matrix isos."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from groups_util import build_roster
-from pargroupoid import structure
+from pargroupoid import semialgebra, structure
 from pargroupoid.group import (
     FiniteGroup,
     GroupOrderBoundError,
@@ -15,12 +16,20 @@ from pargroupoid.group import (
     make_group,
     subgroup_as_group,
 )
-from pargroupoid.groupoid import Gamma, StandardGroupoid, connected_components
+from pargroupoid.groupoid import (
+    ComponentIsomorphism,
+    Gamma,
+    StandardElement,
+    StandardGroupoid,
+    component_normal_form,
+    connected_components,
+)
 from pargroupoid.semialgebra import StandardAlgebra, matrix_algebra_for
 from pargroupoid.semiring import QNN, delta_of
 from pargroupoid.structure import (
     ComponentMatrixIso,
-    _verify_component_iso,
+    _verify_block_type,
+    _verify_normal_form,
     component_to_matrix_iso,
     coset_count_identity,
     cross_component_orthogonality,
@@ -120,6 +129,51 @@ def test_stabilizer_census_partitions_the_subsets(roster):
             assert m >= 1 and H.order >= 1
 
 
+# ---------------------------------------------------------------------------
+# Component isomorphisms: the two-step check and its all-pairs oracle.
+
+# The check the two steps replaced, kept as the test-only oracle: every arrow
+# pair of the component goes through a grid product and a grid comparison.
+def _verify_component_iso(iso: ComponentMatrixIso) -> None:
+    nf = iso.normal_form
+    comp = iso.component
+    gamma = comp.gamma
+    arrows = nf.arrows()
+    if len(arrows) != iso.standard.size:
+        raise AssertionError(
+            f"component at {gamma.group.subset_repr(comp.base_vertex)}: "
+            f"{len(arrows)} arrows vs {iso.standard.size} triples")
+    images = [nf.to_standard(x) for x in arrows]
+    if len(set(images)) != len(arrows):
+        raise AssertionError("normal form is not injective on arrows")
+    for x, s in zip(arrows, images):
+        if nf.from_standard(s) != x:
+            raise AssertionError(f"normal form round trip fails at {gamma.describe(x)}")
+    mats = {x: iso.arrow_to_matrix(x) for x in arrows}
+    zero = iso.matrix.zero()
+    for x in arrows:
+        for y in arrows:
+            p = gamma.product(x, y)
+            expected = zero if p is None else mats[p]
+            if mats[x] * mats[y] != expected:
+                raise AssertionError(
+                    f"matrix images fail multiplicativity at "
+                    f"{gamma.describe(x)} * {gamma.describe(y)}")
+
+
+def _isos(G, comp_filter=lambda comp: True):
+    return [component_to_matrix_iso(comp, QNN, verify=False)
+            for comp in connected_components(Gamma(G)) if comp_filter(comp)]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in build_roster()])
+def test_split_check_agrees_with_the_oracle(roster_map, name):
+    for iso in _isos(roster_map[name]):
+        _verify_component_iso(iso)
+        _verify_normal_form(iso.normal_form)
+        _verify_block_type(iso.standard, iso.matrix)
+
+
 def test_component_isomorphisms_verified(roster_map):
     for name in ("V4", "S3"):
         summary = decompose(roster_map[name], scalars=QNN)
@@ -127,6 +181,45 @@ def test_component_isomorphisms_verified(roster_map):
             connected_components(Gamma(roster_map[name])))
         assert summary.scalars_name == "qnn"
         assert summary.audit_ok
+
+
+def test_order_12_components_verified():
+    summary = decompose(make_group("dihedral:6"), scalars=QNN)
+    assert summary.components_verified == 381 and summary.audit_ok
+
+
+def test_grid_products_once_per_block_type(monkeypatch):
+    # (m^2 |H|)^2 grid products per block type, not per component; the
+    # all-pairs check made 12,200 for D4
+    calls = {"mul": 0}
+    mul = semialgebra.MatrixElement.__mul__
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(semialgebra.MatrixElement, "__mul__", counting_mul)
+    summary = decompose(make_group("dihedral:4"), scalars=QNN)
+    assert summary.components_verified == 42
+    assert calls["mul"] <= 5_164
+
+
+def test_each_block_type_is_checked_once(roster_map, monkeypatch):
+    checked = []
+    verify_block_type = structure._verify_block_type
+
+    def recording(standard, matrix):
+        checked.append((standard.groupoid.m, standard.groupoid.H.cayley))
+        verify_block_type(standard, matrix)
+
+    monkeypatch.setattr(structure, "_verify_block_type", recording)
+    for name in ("S3", "D4", "Q8"):
+        G = roster_map[name]
+        checked.clear()
+        decompose(G, scalars=QNN)
+        types = {(comp.m, subgroup_as_group(G, comp.isotropy)[0].cayley)
+                 for comp in connected_components(Gamma(G))}
+        assert sorted(checked) == sorted(types), name
 
 
 def test_iso_verifier_rejects_wrong_shape():
@@ -138,13 +231,165 @@ def test_iso_verifier_rejects_wrong_shape():
     bad = ComponentMatrixIso(comp, iso.normal_form, std, matrix_algebra_for(std))
     with pytest.raises(AssertionError, match="arrows"):
         _verify_component_iso(bad)
+    nf = dataclasses.replace(iso.normal_form, standard=std.groupoid)
+    with pytest.raises(AssertionError, match="arrows"):
+        _verify_normal_form(nf)
+
+
+def test_wrong_chosen_arrow_is_rejected(roster_map):
+    for name in ("V4", "S3"):
+        for comp in connected_components(Gamma(roster_map[name])):
+            if comp.m < 2:
+                continue
+            arrows = comp.chosen_arrows
+            bad = dataclasses.replace(
+                comp, chosen_arrows=(arrows[1], arrows[0]) + arrows[2:])
+            iso = component_to_matrix_iso(bad, verify=False)
+            # the oracle lets the normal form's lookup error escape
+            with pytest.raises((AssertionError, KeyError)):
+                _verify_component_iso(iso)
+            with pytest.raises(AssertionError):
+                _verify_normal_form(iso.normal_form)
+            with pytest.raises(AssertionError):
+                component_to_matrix_iso(bad)
+
+
+class _SwappedNormalForm(ComponentIsomorphism):
+    """A normal form with range and source numbers exchanged."""
+
+    def to_standard(self, x):
+        s = super().to_standard(x)
+        return StandardElement(s.h, s.j, s.i)
+
+
+def test_swapped_range_and_source_are_rejected(roster_map):
+    for name in ("V4", "S3"):
+        for iso in _isos(roster_map[name], lambda comp: comp.m >= 2):
+            nf = iso.normal_form
+            bad = dataclasses.replace(
+                iso, normal_form=_SwappedNormalForm(
+                    nf.component, nf.standard, nf.iso_elements))
+            with pytest.raises(AssertionError, match="round trip"):
+                _verify_component_iso(bad)
+            with pytest.raises(AssertionError, match="source or range"):
+                _verify_normal_form(bad.normal_form)
+
+
+class _TwistedNormalForm(ComponentIsomorphism):
+    """A normal form followed by h -> h * c on H, for the element c = 1.
+
+    That is a bijection of the triples that keeps sources and ranges, so only
+    multiplicativity can catch it.
+    """
+
+    def to_standard(self, x):
+        s = super().to_standard(x)
+        return StandardElement(self.standard.H.mul(s.h, 1), s.i, s.j)
+
+    def from_standard(self, s):
+        H = self.standard.H
+        return super().from_standard(
+            StandardElement(H.mul(s.h, H.inverse(1)), s.i, s.j))
+
+
+def test_twisted_normal_form_is_rejected(roster_map):
+    for name in ("V4", "S3"):
+        for iso in _isos(roster_map[name], lambda comp: comp.isotropy.order >= 2):
+            nf = iso.normal_form
+            bad = dataclasses.replace(
+                iso, normal_form=_TwistedNormalForm(
+                    nf.component, nf.standard, nf.iso_elements))
+            with pytest.raises(AssertionError, match="multiplicativity"):
+                _verify_component_iso(bad)
+            with pytest.raises(AssertionError, match="multiplicativity"):
+                _verify_normal_form(bad.normal_form)
+
+
+class _ShiftedNormalForm(ComponentIsomorphism):
+    """A normal form whose group part runs past H: injective, not onto."""
+
+    def to_standard(self, x):
+        s = super().to_standard(x)
+        return StandardElement(s.h + self.standard.H.order, s.i, s.j)
+
+    def from_standard(self, s):
+        return super().from_standard(
+            StandardElement(s.h - self.standard.H.order, s.i, s.j))
+
+
+def test_normal_form_outside_the_triples_is_rejected(roster_map):
+    for iso in _isos(roster_map["S3"]):
+        nf = iso.normal_form
+        bad = _ShiftedNormalForm(nf.component, nf.standard, nf.iso_elements)
+        with pytest.raises(AssertionError, match="not a triple"):
+            _verify_normal_form(bad)
+
+
+def test_spoilt_grid_product_is_rejected(roster_map, monkeypatch):
+    # drop the (1, 2) entry of every grid product
+    mul = semialgebra.MatrixElement.__mul__
+
+    def spoilt_mul(self, other):
+        out = mul(self, other)
+        if out.algebra.m < 2:
+            return out
+        rows = [list(row) for row in out.rows]
+        rows[0][1] = out.algebra.entries.zero()
+        return semialgebra.MatrixElement(out.algebra,
+                                         tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(semialgebra.MatrixElement, "__mul__", spoilt_mul)
+    for name in ("V4", "S3"):
+        for iso in _isos(roster_map[name], lambda comp: comp.m >= 2):
+            with pytest.raises(AssertionError, match="multiplicativity"):
+                _verify_component_iso(iso)
+            _verify_normal_form(iso.normal_form)  # no grids in this step
+            with pytest.raises(AssertionError, match="multiplicativity"):
+                _verify_block_type(iso.standard, iso.matrix)
+
+
+# The |Gamma|^2 pair scan the per-arrow check replaced, kept as the
+# test-only oracle.
+def _orthogonality_oracle(gamma: Gamma, components) -> tuple[bool, tuple | None]:
+    comp_of = {v: idx for idx, comp in enumerate(components)
+               for v in comp.vertices}
+    for x in gamma.elements:
+        for y in gamma.elements:
+            if comp_of[x.mask] != comp_of[y.mask] and gamma.product(x, y) is not None:
+                return False, (gamma.describe(x), gamma.describe(y))
+    return True, None
 
 
 def test_cross_component_orthogonality(roster):
     for name, G in roster:
         if G.order <= 4:
-            ok, witness = cross_component_orthogonality(Gamma(G))
+            gamma = Gamma(G)
+            ok, witness = cross_component_orthogonality(gamma)
             assert ok, (name, witness)
+            assert _orthogonality_oracle(
+                gamma, connected_components(gamma)) == (True, None)
+
+
+def test_orthogonality_rejects_a_split_component(roster_map, monkeypatch):
+    # report one multi-vertex component as two: both checks must object, and
+    # the witness is a defined product across the two halves
+    for name in ("Z3", "V4"):
+        gamma = Gamma(roster_map[name])
+        comps = connected_components(gamma)
+        k, comp = next((k, c) for k, c in enumerate(comps) if c.m >= 2)
+        split = (comps[:k]
+                 + [dataclasses.replace(comp, vertices=comp.vertices[:1]),
+                    dataclasses.replace(comp, vertices=comp.vertices[1:])]
+                 + comps[k + 1:])
+        monkeypatch.setattr(structure, "connected_components", lambda _: split)
+        ok, (x_desc, y_desc) = cross_component_orthogonality(gamma)
+        assert not ok
+        assert _orthogonality_oracle(gamma, split)[0] is False
+        by_desc = {gamma.describe(el): el for el in gamma.elements}
+        x, y = by_desc[x_desc], by_desc[y_desc]
+        assert gamma.is_unit(x) and gamma.product(x, y) == y
+        halves = [set(comp.vertices[:1]), set(comp.vertices[1:])]
+        assert any(x.mask in h and y.mask not in h for h in halves)
 
 
 def test_decompose_over_differences_gives_same_table(roster_map):
