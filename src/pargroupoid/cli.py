@@ -45,6 +45,7 @@ from .partial_rep import (
     verify_partial_action,
 )
 from .semialgebra import (
+    AlgebraElement,
     DeltaPair,
     GammaAlgebra,
     StandardAlgebra,
@@ -193,8 +194,8 @@ def _suite_extension(G: FiniteGroup, S: SemiringSpec, seed: int,
         return [_check("extension_exists", False, note=str(exc))]
     checks = [_check("extension_exists", True)]
     ident_w = next(
-        (alg.gamma.describe(el) for el in alg.gamma.elements
-         if ext.image_of(el) != alg.basis_element(el)), None)
+        (alg.describe_basis(i) for i, image in enumerate(ext.images)
+         if image != AlgebraElement(alg, {i: S.one})), None)
     checks.append(_check("identity_on_basis", ident_w is None, ident_w))
     checks.extend(_axiom_checks(verify_factorization(lam, ext, seed=seed)))
 
@@ -345,7 +346,7 @@ def _gamma_chunks(gamma: Gamma, fmt: str) -> Iterator[str]:
         for mask in range(1, 1 << n, 2):
             block = ",\n".join(f"        {x}" for x in indices_of_mask(mask))
             arrow = '    {\n      "I": [\n' + block + '\n      ],\n      "g": '
-            yield sep + ",\n".join(arrow + tails[el.g] for el in gamma.arrows_at(mask))
+            yield sep + ",\n".join(arrow + tails[g] for g in gamma.gs_at(mask))
             sep = ",\n"
         yield "\n  ]\n}\n"
     else:
@@ -354,7 +355,7 @@ def _gamma_chunks(gamma: Gamma, fmt: str) -> Iterator[str]:
         tails = [f", {labels[g]}){'  unit' if g == 0 else ''}\n" for g in range(n)]
         for mask in range(1, 1 << n, 2):
             arrow = "  ({" + ",".join(labels[x] for x in indices_of_mask(mask)) + "}"
-            yield "".join(arrow + tails[el.g] for el in gamma.arrows_at(mask))
+            yield "".join(arrow + tails[g] for g in gamma.gs_at(mask))
 
 
 def _cmd_gamma(args) -> int:

@@ -134,12 +134,8 @@ class FiniteGroup:
         for i, row in enumerate(rows):
             if len(set(row)) != n:
                 raise GroupTableError(f"row {i} is not a permutation", row=i)
-        # The column reported is the one whose sorted entries leave
-        # 0, 1, ..., n-1 soonest, the least such column on a tie.
-        bad_cols = [(next(r for r, x in enumerate(sorted(col)) if r != x), j)
-                    for j, col in enumerate(cols) if len(set(col)) != n]
-        if bad_cols:
-            j = min(bad_cols)[1]
+        j = next((j for j, col in enumerate(cols) if len(set(col)) != n), None)
+        if j is not None:
             raise GroupTableError(f"col {j} is not a permutation", col=j)
         _check_associative(rows)
         inv = tuple(row.index(0) for row in rows)
@@ -159,7 +155,6 @@ class FiniteGroup:
             self.labels = labels
         else:
             self.labels = ("e",) + tuple(f"g{i}" for i in range(1, n))
-        self._translate_cache: dict[tuple[int, int], int] = {}
         self._subgroups: tuple[Subgroup, ...] | None = None
 
     def __repr__(self) -> str:
@@ -182,19 +177,13 @@ class FiniteGroup:
         return (1 << self.order) - 1
 
     def left_translate(self, g: int, mask: int) -> int:
-        """The subset g*I as a mask. Cached; masks are immutable ints."""
-        key = (g, mask)
-        cached = self._translate_cache.get(key)
-        if cached is not None:
-            return cached
+        """The subset g*I as a mask."""
         row = self.cayley[g]
         out = 0
-        m = mask
-        while m:
-            low = m & -m
+        while mask:
+            low = mask & -mask
             out |= 1 << row[low.bit_length() - 1]
-            m ^= low
-        self._translate_cache[key] = out
+            mask ^= low
         return out
 
     def conjugate_mask(self, g: int, mask: int) -> int:

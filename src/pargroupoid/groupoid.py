@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .group import (
     FiniteGroup,
@@ -36,13 +37,38 @@ class GammaElement:
     g: int
 
 
+class ArrowView:
+    """Gamma's arrows as a read-only sequence that indexes like a tuple; each
+    GammaElement is built from the flat sequences when it is read."""
+
+    __slots__ = ("_masks", "_gs")
+
+    def __init__(self, masks: tuple[int, ...], gs: bytes):
+        self._masks = masks
+        self._gs = gs
+
+    def __len__(self) -> int:
+        return len(self._gs)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(GammaElement, self._masks[k], self._gs[k]))
+        return GammaElement(self._masks[k], self._gs[k])
+
+    def __iter__(self) -> Iterator[GammaElement]:
+        return map(GammaElement, self._masks, self._gs)
+
+
 class Gamma:
     """All pairs (I, g) of a group, in canonical (mask, g) order.
 
-    The arrows of one mask are contiguous and ascending in g, so an arrow's
-    position is closed-form and no per-arrow index is kept. start[I >> 1]
-    arrows come before mask I; inside it, (I, g) follows one arrow for each
-    x in I with x^-1 < g, and below[g] is the mask of all such x in G:
+    Arrow k is (masks[k], gs[k]): the arrows of a mask share one int object
+    and the g are bytes, so no object is kept per arrow, and `elements` is a
+    view that builds GammaElements when read. The arrows of one mask are
+    contiguous and ascending in g, so an arrow's position is closed-form.
+    start[I >> 1] arrows come before mask I; inside it, (I, g) follows one
+    arrow for each x in I with x^-1 < g, and below[g] is the mask of all
+    such x in G:
 
         position(I, g) = start[I >> 1] + (I & below[g]).bit_count()
 
@@ -62,18 +88,22 @@ class Gamma:
         self.below = tuple(mask_from_indices(x for x in range(n) if inv[x] < g)
                            for g in range(n))
         start: list[int] = []
-        elements: list[GammaElement] = []
+        masks: list[int] = []
+        gs = bytearray()
         for mask in range(1, 1 << n, 2):
-            start.append(len(elements))
-            gs = sorted(inv[x] for x in indices_of_mask(mask))
-            elements.extend(GammaElement(mask, g) for g in gs)
-        self.elements = tuple(elements)
+            start.append(len(gs))
+            row = sorted(inv[x] for x in indices_of_mask(mask))
+            masks.extend([mask] * len(row))
+            gs.extend(row)
+        self.masks = tuple(masks)
+        self.gs = bytes(gs)
         self.start = tuple(start)
         self.unit_indices = self.start
+        self.elements = ArrowView(self.masks, self.gs)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.gs)
 
     def __repr__(self) -> str:
         return f"Gamma({self.group.name}, size={self.size})"
@@ -81,6 +111,11 @@ class Gamma:
     def position(self, mask: int, g: int) -> int:
         """The index of the arrow (I, g) in elements; (I, g) must be one."""
         return self.start[mask >> 1] + (mask & self.below[g]).bit_count()
+
+    def gs_at(self, mask: int) -> bytes:
+        """The g of the arrows (I, g) with source I, ascending; I must contain e."""
+        lo = self.start[mask >> 1]
+        return self.gs[lo:lo + mask.bit_count()]
 
     def arrows_at(self, mask: int) -> tuple[GammaElement, ...]:
         """The arrows with source I, ascending in g; I must contain e."""
@@ -97,7 +132,7 @@ class Gamma:
             raise ValueError(
                 f"({self.group.subset_repr(mask)}, {self.group.label(g)}) is not "
                 "a groupoid element: need e and the inverse of g inside I")
-        return self.elements[self.position(mask, g)]
+        return GammaElement(mask, g)
 
     def is_unit(self, x: GammaElement) -> bool:
         return x.g == 0
@@ -107,13 +142,6 @@ class Gamma:
         if x.mask != self.group.left_translate(y.g, y.mask):
             return None
         return GammaElement(y.mask, self.group.mul(x.g, y.g))
-
-    def product_index(self, i: int, j: int) -> int | None:
-        x = self.elements[i]
-        y = self.elements[j]
-        if x.mask != self.group.left_translate(y.g, y.mask):
-            return None
-        return self.position(y.mask, self.group.mul(x.g, y.g))
 
     def source(self, x: GammaElement) -> GammaElement:
         return GammaElement(x.mask, 0)

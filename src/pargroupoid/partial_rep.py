@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from random import Random
 from typing import Any
 
@@ -377,8 +376,8 @@ def lambda_p(algebra: GammaAlgebra) -> PartialRepMap:
     gamma = algebra.gamma
     one = algebra.scalars.one
     coeffs: list[dict[int, Any]] = [{} for _ in range(gamma.group.order)]
-    for i, el in enumerate(gamma.elements):
-        coeffs[el.g][i] = one
+    for i, g in enumerate(gamma.gs):
+        coeffs[g][i] = one
     images = tuple(AlgebraElement(algebra, c) for c in coeffs)
     return PartialRepMap(gamma.group, algebra, images)
 
@@ -467,7 +466,7 @@ class GammaHom:
         self.images = images
 
     def image_of(self, el: GammaElement):
-        return self.images[self.domain.index[el]]
+        return self.images[self.domain.index_of(el)]
 
     def apply(self, x: AlgebraElement):
         if x.algebra is not self.domain:
@@ -479,7 +478,7 @@ class GammaHom:
 
     def with_image(self, el: GammaElement, value) -> "GammaHom":
         """A copy with one basis image replaced; used by mutation tests."""
-        i = self.domain.index[el]
+        i = self.domain.index_of(el)
         images = self.images[:i] + (value,) + self.images[i + 1:]
         return GammaHom(self.domain, self.target, images)
 
@@ -492,11 +491,12 @@ class GammaHom:
         when the pair count fits the budget and on seeded samples otherwise,
         plus on random linear combinations either way."""
         dom = self.domain
+        gamma = dom.gamma
         zero = self.target.zero()
 
         def basis_ok(i: int, j: int) -> bool:
-            k = dom.basis_product(i, j)
-            expected = zero if k is None else self.images[k]
+            p = gamma.product(dom.basis[i], dom.basis[j])
+            expected = zero if p is None else self.images[gamma.position(p.mask, p.g)]
             return self.images[i] * self.images[j] == expected
 
         size = dom.size
@@ -578,15 +578,16 @@ def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *
     comp_cache: dict[int, Any] = {}
     full = pi.group.full_mask
     images = []
-    for mask, arrows in groupby(domain.gamma.elements, key=lambda el: el.mask):
+    for mask in range(1, full + 1, 2):
         bracket = ascending_product(eps_d, eps_cache, mask)
         rest = full ^ mask if complement_idempotents else mask
         if rest:
             bracket = bracket * ascending_product(comp_d, comp_cache, rest)
-        for el in arrows:
-            lowered, failures = _lower(im_d[el.g] * bracket, pi.algebra)
+        for g in domain.gamma.gs_at(mask):
+            lowered, failures = _lower(im_d[g] * bracket, pi.algebra)
             if failures:
-                raise ExtensionMembershipError(el, failures, repr(pi.algebra))
+                raise ExtensionMembershipError(GammaElement(mask, g), failures,
+                                               repr(pi.algebra))
             images.append(lowered)
     return GammaHom(domain, pi.algebra, tuple(images))
 

@@ -133,7 +133,6 @@ class SparseAlgebra:
     def __init__(self, scalars: SemiringSpec, basis: tuple, unit_indices: tuple[int, ...]):
         self.scalars = scalars
         self.basis = basis
-        self.index = {b: i for i, b in enumerate(basis)}
         self.unit_indices = unit_indices
         self._variants: dict[SemiringSpec, SparseAlgebra] = {scalars: self}
 
@@ -142,6 +141,16 @@ class SparseAlgebra:
         return len(self.basis)
 
     def basis_product(self, i: int, j: int) -> int | None:
+        raise NotImplementedError
+
+    def index_of(self, b) -> int:
+        """The position of the basis object b; ValueError when b is not one."""
+        i = self._position(b)
+        if i is None:
+            raise ValueError(f"{b!r} is not a basis element of {self!r}")
+        return i
+
+    def _position(self, b) -> int | None:
         raise NotImplementedError
 
     def convolve(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
@@ -168,9 +177,7 @@ class SparseAlgebra:
         return AlgebraElement(self, {i: one for i in self.unit_indices})
 
     def basis_element(self, b, coeff=None) -> AlgebraElement:
-        if b not in self.index:
-            raise ValueError(f"{b!r} is not a basis element of {self!r}")
-        return AlgebraElement(self, {self.index[b]: self.scalars.one if coeff is None else coeff})
+        return AlgebraElement(self, {self.index_of(b): self.scalars.one if coeff is None else coeff})
 
     def element(self, pairs: Mapping | Iterable[tuple[Any, Any]]) -> AlgebraElement:
         """Build an element from (basis object, coefficient) pairs."""
@@ -178,9 +185,7 @@ class SparseAlgebra:
         add = self.scalars.add
         out: dict[int, Any] = {}
         for b, c in items:
-            if b not in self.index:
-                raise ValueError(f"{b!r} is not a basis element of {self!r}")
-            i = self.index[b]
+            i = self.index_of(b)
             out[i] = add(out[i], c) if i in out else c
         return AlgebraElement(self, out)
 
@@ -198,9 +203,8 @@ class SparseAlgebra:
         """The same algebra over different scalars, cached per scalar system.
 
         A variant is a shallow copy with only the scalars replaced, so the
-        whole family shares one basis, one index and one cache; hopping base
-        -> delta -> base lands on the original instance and element equality
-        keeps working.
+        whole family shares one basis; hopping base -> delta -> base lands on
+        the original instance and element equality keeps working.
         """
         if scalars not in self._variants:
             variant = copy.copy(self)
@@ -230,34 +234,40 @@ class GammaAlgebra(SparseAlgebra):
     def __repr__(self) -> str:
         return f"GammaAlgebra({self.gamma.group.name}, {self.scalars.name})"
 
-    def basis_product(self, i: int, j: int) -> int | None:
-        return self.gamma.product_index(i, j)
+    def _position(self, b) -> int | None:
+        if not isinstance(b, GammaElement):
+            return None
+        try:
+            self.gamma.element(b.mask, b.g)
+        except ValueError:
+            return None
+        return self.gamma.position(b.mask, b.g)
 
     def convolve(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
         # Exact join: (I, g)(J, h) is defined iff I = hJ, so bucket y by hJ.
         # Buckets keep y's order, so sums accumulate as in the double loop;
         # each entry carries J's start so (J, gh) is found in closed form.
         gamma = self.gamma
-        elements = gamma.elements
+        masks = gamma.masks
+        gs = gamma.gs
         start = gamma.start
         below = gamma.below
         translate = gamma.group.left_translate
         buckets: dict[int, list[tuple[int, int, int, Any]]] = {}
         for j, b in y.items():
-            el = elements[j]
-            mask = el.mask
-            buckets.setdefault(translate(el.g, mask), []).append(
-                (start[mask >> 1], mask, el.g, b))
+            mask = masks[j]
+            h = gs[j]
+            buckets.setdefault(translate(h, mask), []).append(
+                (start[mask >> 1], mask, h, b))
         cayley = gamma.group.cayley
         sadd = self.scalars.add
         smul = self.scalars.mul
         out: dict[int, Any] = {}
         for i, a in x.items():
-            el = elements[i]
-            bucket = buckets.get(el.mask)
+            bucket = buckets.get(masks[i])
             if bucket is None:
                 continue
-            row = cayley[el.g]
+            row = cayley[gs[i]]
             for offset, mask, h, b in bucket:
                 k = offset + (mask & below[row[h]]).bit_count()
                 c = smul(a, b)
@@ -294,6 +304,9 @@ class GroupAlgebra(SparseAlgebra):
     def basis_product(self, i: int, j: int) -> int:
         return self.group.mul(i, j)
 
+    def _position(self, b) -> int | None:
+        return b if isinstance(b, int) and 0 <= b < self.group.order else None
+
     def basis_key(self, i: int):
         return i
 
@@ -311,7 +324,7 @@ class StandardAlgebra(SparseAlgebra):
     """The semialgebra of the standard groupoid of triples (h, i, j).
 
     Basis order is h-major, then range index, then source index, so the index
-    arithmetic in basis_product is closed-form.
+    arithmetic in basis_product and in a triple's position is closed-form.
     """
 
     kind = "matrix"
@@ -336,6 +349,13 @@ class StandardAlgebra(SparseAlgebra):
             return None
         return (self.groupoid.H.mul(ha, hb) * m + ia) * m + jb
 
+    def _position(self, b) -> int | None:
+        m = self.groupoid.m
+        if (isinstance(b, StandardElement) and 0 <= b.h < self.groupoid.H.order
+                and 1 <= b.i <= m and 1 <= b.j <= m):
+            return (b.h * m + b.i - 1) * m + b.j - 1
+        return None
+
     def basis_key(self, i: int):
         el = self.basis[i]
         return [el.h, el.i, el.j]
@@ -343,7 +363,7 @@ class StandardAlgebra(SparseAlgebra):
     def basis_from_key(self, key) -> StandardElement:
         h, i, j = (int(v) for v in key)
         el = StandardElement(h, i, j)
-        if el not in self.index:
+        if self._position(el) is None:
             raise ValueError(f"({h},{i},{j}) is not a triple of {self!r}")
         return el
 
@@ -665,7 +685,7 @@ def element_from_delta(x: AlgebraElement, base: SparseAlgebra
         else:
             out[i] = v
     if failures:
-        failures.sort(key=lambda pair: base.index[pair[0]])
+        failures.sort(key=lambda pair: base.index_of(pair[0]))
         return None, failures
     return AlgebraElement(base, out), []
 

@@ -45,6 +45,7 @@ from .groupoid import (
     ComponentIsomorphism,
     ComponentReport,
     Gamma,
+    GammaElement,
     component_normal_form,
     connected_components,
     unit_components,
@@ -318,17 +319,15 @@ def _verify_block_type(standard: StandardAlgebra, matrix: MatrixAlgebra) -> None
     """
     groupoid = standard.groupoid
     basis = standard.basis
-    index = standard.index
     mats = [standard_to_matrix(standard.basis_element(b), matrix) for b in basis]
     zero = matrix.zero()
-    for a, ma in zip(basis, mats):
-        for b, mb in zip(basis, mats):
+    for i, (a, ma) in enumerate(zip(basis, mats)):
+        for j, (b, mb) in enumerate(zip(basis, mats)):
             p = groupoid.product(a, b)
-            if ma * mb != (zero if p is None else mats[index[p]]):
+            if ma * mb != (zero if p is None else mats[standard.index_of(p)]):
                 raise AssertionError(
                     f"matrix images fail multiplicativity at "
-                    f"{standard.describe_basis(index[a])} * "
-                    f"{standard.describe_basis(index[b])}")
+                    f"{standard.describe_basis(i)} * {standard.describe_basis(j)}")
 
 
 def component_to_matrix_iso(comp: ComponentReport,
@@ -375,10 +374,12 @@ def cross_component_orthogonality(gamma: Gamma) -> tuple[bool, tuple | None]:
     for idx, comp in enumerate(connected_components(gamma)):
         for v in comp.vertices:
             comp_of[v] = idx
-    for y in gamma.elements:
-        r = gamma.range_of(y)
-        if comp_of[r.mask] != comp_of[y.mask]:
-            return False, (gamma.describe(r), gamma.describe(y))
+    translate = gamma.group.left_translate
+    for mask, g in zip(gamma.masks, gamma.gs):
+        r = translate(g, mask)
+        if comp_of[r] != comp_of[mask]:
+            return False, (gamma.describe(GammaElement(r, 0)),
+                           gamma.describe(GammaElement(mask, g)))
     return True, None
 
 

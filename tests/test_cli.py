@@ -284,6 +284,35 @@ def test_importing_the_cli_does_not_load_numpy():
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
+# Runs argv with stdout to /dev/null and prints its exit code and ru_maxrss.
+# A child's ru_maxrss starts at its parent's resident set, so the job is
+# started from this small interpreter rather than from the test process.
+_PEAK_PROBE = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--group", "cyclic:16"],
+    ["verify", "--group", "cyclic:16", "--suite", "delta"],
+], ids=["gamma", "verify-delta"])
+def test_order_16_peak_memory(argv):
+    # Gamma keeps no object per arrow and the algebras keep no index dict;
+    # with them these jobs peaked at about 50 and 70 MB.
+    src = Path(pargroupoid.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, sys.executable, "-m", "pargroupoid.cli",
+         *argv], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    code, maxrss = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    peak_mb = maxrss * (1 if sys.platform == "darwin" else 1024) / 2**20
+    assert peak_mb < 40
+
+
 def test_order_bound_env_and_flag(monkeypatch, capsys):
     monkeypatch.setenv("PARGROUPOID_BOUND", "4")
     assert _run(capsys, ["gamma", "--group", "cyclic:5"])[0] == 3

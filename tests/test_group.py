@@ -144,10 +144,8 @@ def _brute_force_verdict(table):
     for i in range(n):
         if sorted(table[i]) != list(range(n)):
             return f"row {i} is not a permutation", i, None
-    # scan the column-sorted table row by row for its first entry r != r
-    sorted_cols = [sorted(table[i][j] for i in range(n)) for j in range(n)]
-    for r, j in product(range(n), repeat=2):
-        if sorted_cols[j][r] != r:
+    for j in range(n):
+        if sorted(table[i][j] for i in range(n)) != list(range(n)):
             return f"col {j} is not a permutation", None, j
     for i, j, k in product(range(n), repeat=3):
         if table[table[i][j]][k] != table[i][table[j][k]]:

@@ -236,11 +236,15 @@ def test_normal_form_is_a_groupoid_isomorphism(name, G):
                     assert q == images[p]
 
 
-# The per-arrow dict the closed-form position replaced, kept as the
-# test-only oracle, with the membership check the old Gamma.element ran on it.
+# The per-arrow dict the closed-form position replaced, rebuilt by brute force
+# from the definition so it shares nothing with Gamma's storage, kept as the
+# test-only oracle with the membership check the old Gamma.element ran on it.
 
-def _enumerate_index(gamma: Gamma) -> dict:
-    return {el: i for i, el in enumerate(gamma.elements)}
+def _enumerate_index(G) -> dict:
+    n = G.order
+    pairs = sorted((mask, g) for mask in range(1 << n) for g in range(n)
+                   if mask & 1 and mask >> G.inverse(g) & 1)
+    return {GammaElement(mask, g): i for i, (mask, g) in enumerate(pairs)}
 
 
 def _element_oracle(gamma: Gamma, index: dict, mask: int, g: int) -> GammaElement:
@@ -252,21 +256,47 @@ def _element_oracle(gamma: Gamma, index: dict, mask: int, g: int) -> GammaElemen
     return el
 
 
+def _assert_indexes_like(view, arrows: tuple, keys) -> None:
+    for k in keys:
+        try:
+            expected = arrows[k]
+        except IndexError:
+            with pytest.raises(IndexError):
+                view[k]
+        else:
+            assert view[k] == expected
+
+
 @pytest.mark.parametrize("name,G", build_roster() + order_16_roster())
 def test_position_matches_enumerate_index(name, G):
     gamma = Gamma(G)
-    index = _enumerate_index(gamma)
+    index = _enumerate_index(G)
+    arrows = tuple(index)
+    assert tuple(gamma.elements) == arrows
     for el, i in index.items():
         assert gamma.position(el.mask, el.g) == i
     assert gamma.unit_indices == tuple(i for el, i in index.items() if el.g == 0)
     assert tuple(el for mask in range(1, 1 << G.order, 2)
-                 for el in gamma.arrows_at(mask)) == gamma.elements
+                 for el in gamma.arrows_at(mask)) == arrows
+    # the view indexes, slices and raises IndexError as the tuple does
+    view = gamma.elements
+    size = len(arrows)
+    assert len(view) == gamma.size == size
+    if G.order <= 8:
+        keys = range(-size - 3, size + 3)
+    else:
+        keys = [0, 1, 2, size // 2, size - 1, size, size + 1, 1 << 40,
+                -1, -2, -size, -size - 1, -(1 << 40)]
+    _assert_indexes_like(view, arrows, keys)
+    for sl in [slice(None), slice(3, 9), slice(-5, None), slice(None, None, -7),
+               slice(size - 2, size + 5), slice(size + 1, None)]:
+        assert view[sl] == arrows[sl]
 
 
 @pytest.mark.parametrize("name,G", build_roster())
 def test_element_rejects_what_the_dict_rejected(name, G):
     gamma = Gamma(G)
-    index = _enumerate_index(gamma)
+    index = _enumerate_index(G)
     n = G.order
     for mask in range(1 << n):
         for g in range(n):

@@ -1,6 +1,7 @@
 """Free-basis semialgebras: convolution, matrices, tensors, differences."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from groups_util import build_roster, direct_product
 from pargroupoid.group import indices_of_mask, make_group
-from pargroupoid.groupoid import Gamma, StandardElement, StandardGroupoid
+from pargroupoid.groupoid import Gamma, GammaElement, StandardElement, StandardGroupoid
 from pargroupoid.semialgebra import (
     AlgebraElement,
     BasisMismatchError,
@@ -56,7 +57,7 @@ def _brute_product(alg: GammaAlgebra, x: AlgebraElement, y: AlgebraElement):
             p = gamma.product(gamma.elements[i], gamma.elements[j])
             if p is None:
                 continue
-            k = alg.index[p]
+            k = alg.index_of(p)
             c = S.mul(a, b)
             out[k] = S.add(out[k], c) if k in out else c
     return AlgebraElement(alg, out)
@@ -74,7 +75,7 @@ def _joined_pair(alg: GammaAlgebra, rng: random.Random, terms: int = 4):
     for i in rng.sample(sorted(x.coeffs), min(terms // 2, len(x.coeffs))):
         mask = gamma.elements[i].mask
         h = rng.choice(indices_of_mask(mask))
-        j = alg.index[gamma.element(G.left_translate(G.inverse(h), mask), h)]
+        j = alg.index_of(gamma.element(G.left_translate(G.inverse(h), mask), h))
         y[j] = S.sample(rng)
     return x, AlgebraElement(alg, y)
 
@@ -128,13 +129,15 @@ def test_convolution_matches_brute_force_order_16(G):
 @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4",
                                   "klein4"])
 def test_gamma_algebra_product_matches_groupoid(spec):
+    # the join on single basis pairs: one term where the groupoid product is
+    # defined, none elsewhere
     alg = GammaAlgebra(Gamma(make_group(spec)), NAT)
     gamma = alg.gamma
     for i, a in enumerate(alg.basis):
         for j, b in enumerate(alg.basis):
             p = gamma.product(a, b)
-            k = alg.basis_product(i, j)
-            assert k == (None if p is None else alg.index[p])
+            out = alg.convolve({i: 1}, {j: 1})
+            assert out == ({} if p is None else {alg.index_of(p): 1})
 
 
 @given(nat_elements, nat_elements, nat_elements)
@@ -186,15 +189,79 @@ def test_scalar_family_is_shared():
     back = there.with_scalars(NAT)
     assert back is Z3_NAT
     assert there is Z3_NAT.with_scalars(D)
-    # one basis and one index serve the whole family
-    assert there.basis is Z3_NAT.basis and there.index is Z3_NAT.index
+    # one basis serves the whole family
+    assert there.basis is Z3_NAT.basis
     assert there.gamma is Z3_NAT.gamma and there.scalars is D
+
+
+def test_order_16_basis_is_flat():
+    # two flat per-arrow sequences and closed-form lookups: one frozen object
+    # per arrow took 29.0 MB and the algebra's index dict 18.3 MB more
+    G = make_group("cyclic:16")
+    tracemalloc.start()
+    try:
+        gamma = Gamma(G)
+        built = tracemalloc.get_traced_memory()[0]
+        alg = GammaAlgebra(gamma, QNN)
+        added = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert built < 6_000_000
+    assert added < 100_000 and alg.size == gamma.size
 
 
 def test_element_accumulates_duplicate_basis_keys():
     b = Z3_NAT.basis[1]
     x = Z3_NAT.element([(b, 2), (b, 3)])
     assert x.coeffs == {1: 5}
+
+
+def _membership_cases():
+    """Each algebra kind with near-misses of its basis objects."""
+    G = make_group("sym:3")
+    n = G.order
+    # an element whose inverse lies outside {e, g1}
+    g = next(g for g in range(n) if not 0b11 >> G.inverse(g) & 1)
+    gamma_misses = [GammaElement(0b10, 0), GammaElement(0b110, 1),
+                    GammaElement(0b11, g), GammaElement(1 << n | 1, 0),
+                    GammaElement(-1, 0), GammaElement(1, n), GammaElement(1, -1),
+                    (1, 0), StandardElement(0, 1, 1), 0]
+    std_misses = [StandardElement(2, 1, 1), StandardElement(-1, 1, 1),
+                  StandardElement(0, 0, 1), StandardElement(0, 4, 1),
+                  StandardElement(0, 1, 0), StandardElement(0, 1, 4),
+                  GammaElement(1, 0), 0]
+    group_misses = [n, -1, 1 << 40, GammaElement(1, 0), StandardElement(0, 1, 1)]
+    return [(GammaAlgebra(Gamma(G), NAT), gamma_misses),
+            (StandardAlgebra(StandardGroupoid(make_group("cyclic:2"), 3), NAT),
+             std_misses),
+            (GroupAlgebra(G, NAT), group_misses)]
+
+
+@pytest.mark.parametrize("alg,misses", _membership_cases(),
+                         ids=["gamma", "standard", "group"])
+def test_basis_membership(alg, misses):
+    for i, b in enumerate(alg.basis):
+        assert alg.index_of(b) == i
+        assert alg.basis_element(b).coeffs == {i: 1}
+    assert alg.element([(b, 1) for b in alg.basis]).coeffs == {
+        i: 1 for i in range(alg.size)}
+    for b in misses:
+        message = f"{b!r} is not a basis element of {alg!r}"
+        for lookup in (alg.index_of, alg.basis_element,
+                       lambda b: alg.element([(b, 1)])):
+            with pytest.raises(ValueError) as info:
+                lookup(b)
+            assert str(info.value) == message
+
+
+def test_out_of_range_keys_are_rejected():
+    std = StandardAlgebra(StandardGroupoid(make_group("cyclic:2"), 3), NAT)
+    for key in ([2, 1, 1], [0, 0, 1], [0, 1, 4]):
+        with pytest.raises(ValueError) as info:
+            std.basis_from_key(key)
+        assert str(info.value) == f"({key[0]},{key[1]},{key[2]}) is not a triple of {std!r}"
+    with pytest.raises(ValueError, match="out of range"):
+        GroupAlgebra(Z3, NAT).basis_from_key(3)
 
 
 def test_cross_algebra_operations_rejected():
@@ -219,7 +286,7 @@ def test_standard_algebra_product_matches_groupoid():
         for j, b in enumerate(std.basis):
             p = g.product(a, b)
             k = std.basis_product(i, j)
-            assert k == (None if p is None else std.index[p])
+            assert k == (None if p is None else std.index_of(p))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +494,7 @@ def test_membership_pullback_reports_witnesses():
     back, failures = element_from_delta(bad, Z3_NAT)
     assert back is None
     # witnesses come back in basis order
-    assert [Z3_NAT.index[b] for b, _ in failures] == [1, 4]
+    assert [Z3_NAT.index_of(b) for b, _ in failures] == [1, 4]
 
 
 def test_matrix_membership_pullback():
