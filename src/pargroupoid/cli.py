@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .group import (
@@ -29,6 +28,7 @@ from .group import (
     GroupTableError,
     indices_of_mask,
     make_group,
+    read_json,
     subgroup_as_group,
 )
 from .groupoid import Gamma, StandardGroupoid
@@ -427,7 +427,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_action_check(args) -> int:
-    doc_in = json.loads(Path(args.file).read_text())
+    doc_in = read_json(args.file, PartialActionFormatError)
     group = make_group(args.group) if args.group else None
     pa = partial_action_from_json(doc_in, group=group)
     report = verify_partial_action(pa)

@@ -20,6 +20,10 @@ from typing import Iterable, Sequence
 # Orders above this make full subset enumeration infeasible on a desk machine.
 DEFAULT_ORDER_BOUND = 16
 
+# cyclic:n and dihedral:n build and validate a full Cayley table, so their
+# order is capped; order 1024 is a million entries.
+MAX_TABLE_ORDER = 1024
+
 _SPEC_RE = re.compile(r"^(cyclic|sym|dihedral):([0-9]+)$")
 
 
@@ -47,12 +51,31 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     return mask
 
 
+# _BYTE_BITS[c][b] lists the elements 8c + x for the set bits x of the byte
+# value b, so a mask's elements are the entries of its bytes joined in order.
+# A byte position is added when a mask first reaches it.
+_BYTE_BITS: list[tuple[tuple[int, ...], ...]] = []
+
+
+def _add_byte_positions(bit_length: int) -> None:
+    while 8 * len(_BYTE_BITS) < bit_length:
+        base = 8 * len(_BYTE_BITS)
+        _BYTE_BITS.append(tuple(tuple(base + x for x in range(8) if b >> x & 1)
+                                for b in range(256)))
+
+
 def indices_of_mask(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    """The elements of a subset mask, ascending, one byte table entry per byte."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
+    if mask >> 8 * len(_BYTE_BITS):
+        _add_byte_positions(mask.bit_length())
+    out: list[int] = []
+    for table in _BYTE_BITS:
+        if not mask:
+            break
+        out += table[mask & 255]
+        mask >>= 8
     return out
 
 
@@ -141,6 +164,7 @@ class FiniteGroup:
         inv = tuple(row.index(0) for row in rows)
 
         self.order = n
+        self.full_mask = (1 << n) - 1
         self.cayley = rows
         self.inv = inv
         self.name = name
@@ -156,6 +180,7 @@ class FiniteGroup:
         else:
             self.labels = ("e",) + tuple(f"g{i}" for i in range(1, n))
         self._subgroups: tuple[Subgroup, ...] | None = None
+        self._translate_tables: list[tuple[list[int], ...] | None] = [None] * n
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -172,31 +197,47 @@ class FiniteGroup:
     def label(self, a: int) -> str:
         return self.labels[a]
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.order) - 1
-
     def left_translate(self, g: int, mask: int) -> int:
-        """The subset g*I as a mask."""
-        row = self.cayley[g]
+        """The subset g*I as a mask, read from byte tables.
+
+        Byte c of I holds the elements 8c..8c+7, and tables[c][b] is the
+        mask of g*x over the elements x of byte value b, so g*I is the OR of
+        one entry per byte: ceil(n/8) lookups. The tables of g, 2^8 entries
+        per byte position (fewer for a partial last byte), are built on the
+        first translate by g; a group holds at most n * ceil(n/8) * 256 of
+        these ints, 8,192 at order 16, and none until it translates. A mask
+        outside 0..full_mask raises ValueError.
+        """
+        if mask < 0 or mask > self.full_mask:
+            raise ValueError(
+                f"mask {mask} is not a subset of a group of order {self.order}")
+        tables = self._translate_tables[g]
+        if tables is None:
+            tables = self._build_translate_tables(g)
         out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << row[low.bit_length() - 1]
-            mask ^= low
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
         return out
+
+    def _build_translate_tables(self, g: int) -> tuple[list[int], ...]:
+        row = self.cayley[g]
+        tables = []
+        for lo in range(0, self.order, 8):
+            # entry b ORs the images of the set bits of b: doubling per bit
+            table = [0]
+            for y in row[lo:lo + 8]:
+                bit = 1 << y
+                table += [t | bit for t in table]
+            tables.append(table)
+        self._translate_tables[g] = tables = tuple(tables)
+        return tables
 
     def conjugate_mask(self, g: int, mask: int) -> int:
         """The subset g*I*g^-1 as a mask."""
-        gi = self.inv[g]
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            out |= 1 << self.mul(self.mul(g, x), gi)
-            m ^= low
-        return out
+        row, gi = self.cayley[g], self.inv[g]
+        return mask_from_indices(self.cayley[row[x]][gi]
+                                 for x in indices_of_mask(mask))
 
     def subset_repr(self, mask: int) -> str:
         return "{" + ",".join(self.labels[x] for x in indices_of_mask(mask)) + "}"
@@ -275,6 +316,18 @@ def _dihedral(n: int) -> FiniteGroup:
     return FiniteGroup(table, labels, name=f"dihedral:{n}")
 
 
+def read_json(path: str, error: type[ValueError]):
+    """Parse the JSON file at path.
+
+    Malformed JSON raises json.JSONDecodeError; bytes that are not UTF-8, and
+    nesting too deep for the decoder, raise `error` with a one-line message.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{path} is not a readable JSON document: {exc}") from None
+
+
 def from_table(doc: dict, name: str = "table") -> FiniteGroup:
     """Build a group from a parsed {"order", "table", "labels"?} document."""
     if not isinstance(doc, dict):
@@ -309,6 +362,8 @@ def make_group(spec: str) -> FiniteGroup:
     Grammar: cyclic:n (n>=1) | klein4 | sym:n (1<=n<=5) | dihedral:n (n>=1,
     order 2n) | table:<path to JSON {"order", "table", "labels"?}>.
     Grammar violations raise GroupSpecError; a bad table raises GroupTableError.
+    A cyclic or dihedral order above MAX_TABLE_ORDER raises
+    GroupOrderBoundError before any table is built.
     """
     if spec == "klein4":
         return _klein4()
@@ -316,23 +371,29 @@ def make_group(spec: str) -> FiniteGroup:
         path = spec[len("table:"):]
         if not path:
             raise GroupSpecError("table: needs a file path")
-        doc = json.loads(Path(path).read_text())
-        return from_table(doc, name=spec)
+        return from_table(read_json(path, GroupTableError), name=spec)
     m = _SPEC_RE.match(spec)
     if m is None:
         raise GroupSpecError(
             f"bad group spec {spec!r}; expected cyclic:n, klein4, sym:n, "
             "dihedral:n, or table:<path>")
-    kind, n = m.group(1), int(m.group(2))
-    if n < 1:
-        raise GroupSpecError(f"{kind}:{n}: order parameter must be at least 1")
-    if kind == "cyclic":
-        return _cyclic(n)
+    kind, digits = m.group(1), m.group(2).lstrip("0") or "0"
+    shown = (f"{kind}:{digits}" if len(digits) <= 12
+             else f"{kind}:{digits[:8]}... ({len(digits)} digits)")
+    # A parameter with more digits than the cap is past every cap, so it is
+    # never converted: int() refuses strings of more than 4,300 digits.
+    n = int(digits) if len(digits) <= len(str(MAX_TABLE_ORDER)) else None
+    if n == 0:
+        raise GroupSpecError(f"{shown}: order parameter must be at least 1")
     if kind == "sym":
-        if n > 5:
-            raise GroupSpecError(f"sym:{n}: factorial growth; n is capped at 5")
+        if n is None or n > 5:
+            raise GroupSpecError(f"{shown}: factorial growth; n is capped at 5")
         return _sym(n)
-    return _dihedral(n)
+    if n is None or (n if kind == "cyclic" else 2 * n) > MAX_TABLE_ORDER:
+        raise GroupOrderBoundError(
+            f"{shown}: the order exceeds {MAX_TABLE_ORDER}, the cap on "
+            "built Cayley tables")
+    return _cyclic(n) if kind == "cyclic" else _dihedral(n)
 
 
 # ---------------------------------------------------------------------------

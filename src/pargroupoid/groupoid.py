@@ -24,7 +24,6 @@ from .group import (
     DEFAULT_ORDER_BOUND,
     indices_of_mask,
     mask_from_indices,
-    stabilizer_of_subset,
     subgroup_as_group,
 )
 
@@ -168,21 +167,30 @@ def unit_components(G: FiniteGroup) -> list[tuple[tuple[int, ...], Subgroup]]:
     closed under further moves. Walking the masks containing e in ascending
     order and skipping those already seen therefore meets every component
     first at its least mask, its base. Each entry is (vertices ascending,
-    stabilizer of the base). The vertex count m must tile the base as
-    m * |isotropy| = |base|; this is asserted because every later structure
-    computation leans on it. All 2^(order-1) masks are walked, so callers
-    check the order bound first.
+    stabilizer of the base). The isotropy comes from the same |base|
+    translates as the orbit: x^-1 * I = I exactly when x is in Stab(I), and
+    Stab(I) lies inside I, so no second pass over the base is needed. The
+    vertex count m must tile the base as m * |isotropy| = |base|; this is
+    asserted because every later structure computation leans on it. All
+    2^(order-1) masks are walked, so callers check the order bound first.
     """
+    translate, inv = G.left_translate, G.inv
     seen = bytearray(1 << G.order)
     out = []
     for base in range(1, 1 << G.order, 2):
         if seen[base]:
             continue
-        vertices = tuple(sorted({G.left_translate(G.inverse(x), base)
-                                 for x in indices_of_mask(base)}))
+        orbit = set()
+        stab = 0
+        for x in indices_of_mask(base):
+            v = translate(inv[x], base)
+            if v == base:
+                stab |= 1 << x
+            orbit.add(v)
+        vertices = tuple(sorted(orbit))
         for v in vertices:
             seen[v] = 1
-        isotropy = stabilizer_of_subset(G, base)
+        isotropy = Subgroup(G, stab)
         if len(vertices) * isotropy.order != base.bit_count():
             raise AssertionError(
                 f"component at {G.subset_repr(base)}: {len(vertices)} vertices "

@@ -48,7 +48,7 @@ class ScalarMismatchError(ValueError):
     """Two values belong to different scalar systems."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemiringSpec:
     """A scalar system: carrier plus operations and declared properties.
 
@@ -58,6 +58,11 @@ class SemiringSpec:
     `sample` (a seeded pseudo-random draw). `try_sub` returns a - b when that
     difference exists inside the carrier and None otherwise; `neg` exists only
     on rings of differences, whose base system is kept in `base`.
+
+    Specs are singletons (QNN, NAT, BOOL and the cached `delta_of` of each),
+    so they compare and hash by identity: algebras key their scalar variants
+    by spec, and hashing the fields would hash the Fraction sample prefix
+    and the nested base on every lookup.
     """
 
     name: str

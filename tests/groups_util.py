@@ -43,6 +43,29 @@ def q8() -> FiniteGroup:
     return from_table(q8_doc(), name="Q8")
 
 
+def bit_loop_translate(G: FiniteGroup, g: int, mask: int) -> int:
+    """g*I one set bit at a time: the test-only oracle for the byte tables
+    of FiniteGroup.left_translate."""
+    row = G.cayley[g]
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << row[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def bit_loop_indices(mask: int) -> list[int]:
+    """The set bits of a mask one at a time: the test-only oracle for the
+    byte tables of indices_of_mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def direct_product(G: FiniteGroup, H: FiniteGroup, name: str) -> FiniteGroup:
     n = H.order
     size = G.order * n

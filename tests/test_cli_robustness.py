@@ -1,0 +1,137 @@
+"""Bad input through the CLI, in a child process under a 1 GiB address cap.
+
+Whatever the group spec or `table:` document, a run must end with an exit
+code in {0, 1, 2, 3}, at most one line on stderr and no traceback: never a
+crash, and never an attempt to allocate a table it cannot hold.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import pargroupoid
+
+pytest.importorskip("resource")  # the child caps its address space
+
+SRC = Path(pargroupoid.__file__).resolve().parents[1]
+
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from pargroupoid.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+def _run_capped(argv):
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv], stdin=subprocess.DEVNULL,
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    return done.returncode, done.stdout, done.stderr
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err, err
+    assert err.count("\n") <= 1, err
+
+
+@pytest.mark.parametrize("spec", ["cyclic:" + "9" * 5000, "cyclic:50000"],
+                         ids=["5000-digits", "order-50000"])
+def test_oversized_group_spec_exits_3_with_one_line(spec):
+    # these exited 1: int() refuses 5,000 digits, and a 50000 x 50000
+    # table runs out of memory under the cap
+    code, out, err = _run_capped(["decompose", "--group", spec])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cap on built Cayley tables" in err
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("command", ["table", "action-check"])
+def test_unreadable_json_documents_exit_3(tmp_path, payload, command):
+    path = tmp_path / "doc.json"
+    path.write_bytes(payload)
+    argv = (["decompose", f"--group=table:{path}"] if command == "table"
+            else ["action-check", "--file", str(path)])
+    code, out, err = _run_capped(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_digits = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 10**9).map(str),
+    st.integers(0, 3).map(lambda zeros: "0" * zeros + "7"),
+    st.integers(4000, 6000).map(lambda k: "1" * k),
+)
+_spec_strings = st.one_of(
+    st.builds("{}:{}".format,
+              st.sampled_from(["cyclic", "dihedral", "sym", "klein4", "table", ""]),
+              _digits),
+    st.sampled_from(["klein4", "table:", "table:.", "cyclic:-3", "sym:"]),
+    # no NUL or lone surrogate: neither can be passed in argv
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=40),
+)
+
+_SUBPROCESS_SETTINGS = settings(
+    max_examples=20, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@_SUBPROCESS_SETTINGS
+@given(_spec_strings)
+def test_fuzzed_group_specs_exit_cleanly(spec):
+    # `--group=` keeps a spec that starts with "-" from reading as an option
+    code, _, err = _run_capped(["decompose", f"--group={spec}"])
+    _assert_clean_exit(code, err)
+    assert code != 1, err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**30) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=4),
+    max_leaves=20)
+
+
+@st.composite
+def _table_documents(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-1, n), _json_values)
+    rows = draw(st.lists(st.lists(entry, min_size=n - 1, max_size=n + 1),
+                         min_size=n - 1, max_size=n + 1))
+    if draw(st.booleans()):
+        # a cyclic table: a group, or close to one once a row is swapped
+        rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+        if n > 2 and draw(st.booleans()):
+            rows[1], rows[2] = rows[2], rows[1]
+    doc = {"order": draw(st.one_of(st.just(n), _json_values)), "table": rows}
+    if draw(st.booleans()):
+        doc["labels"] = draw(st.one_of(
+            st.lists(st.text(max_size=3), min_size=n, max_size=n), _json_values))
+    for key in draw(st.sets(st.sampled_from(["order", "table"]), max_size=1)):
+        del doc[key]
+    return doc
+
+
+@_SUBPROCESS_SETTINGS
+@given(st.one_of(_table_documents(), _json_values))
+def test_fuzzed_table_documents_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run_capped(["decompose", f"--group=table:{path}"])
+    _assert_clean_exit(code, err)
+    # a valid table of order <= 6 decomposes; anything else is refused
+    assert code in (0, 3), err
+    assert (code == 0) == (out != "")

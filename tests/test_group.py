@@ -1,5 +1,6 @@
 """Group construction, subset machinery, and the subgroup lattice."""
 
+import functools
 import json
 import random
 import tracemalloc
@@ -7,9 +8,19 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
-from groups_util import build_roster, direct_product, order_16_roster, q8, q8_doc
+from groups_util import (
+    bit_loop_indices,
+    bit_loop_translate,
+    build_roster,
+    direct_product,
+    order_16_roster,
+    q8,
+    q8_doc,
+)
 from pargroupoid.group import (
+    MAX_TABLE_ORDER,
     FiniteGroup,
     GroupOrderBoundError,
     GroupSpecError,
@@ -34,13 +45,31 @@ def test_spec_grammar_builds_expected_orders():
     assert make_group("sym:3").order == 6
     assert make_group("dihedral:4").order == 8
     assert make_group("dihedral:1").order == 2
+    assert make_group("cyclic:0007").order == 7
+    # the table cap leaves room for cyclic:900 and dihedral:450
+    assert MAX_TABLE_ORDER >= 900
 
 
 @pytest.mark.parametrize("bad", ["nonsense", "cyclic", "cyclic:0", "sym:6",
-                                 "cyclic:-2", "table:", "klein5"])
+                                 "cyclic:-2", "table:", "klein5",
+                                 pytest.param("sym:" + "9" * 5000, id="sym:9*5000")])
 def test_spec_grammar_rejections(bad):
     with pytest.raises(GroupSpecError):
         make_group(bad)
+
+
+@pytest.mark.parametrize("spec", [
+    f"cyclic:{MAX_TABLE_ORDER + 1}",
+    f"dihedral:{MAX_TABLE_ORDER // 2 + 1}",
+    # past int()'s 4,300-digit limit
+    pytest.param("cyclic:" + "9" * 5000, id="cyclic:9*5000"),
+    pytest.param("dihedral:" + "9" * 5000, id="dihedral:9*5000"),
+])
+def test_constructed_tables_are_capped(spec):
+    # rejected from the digits, before int() or any table
+    with pytest.raises(GroupOrderBoundError, match="cap on built Cayley tables") as info:
+        make_group(spec)
+    assert len(str(info.value)) < 100
 
 
 def test_table_ingestion_via_spec(tmp_path):
@@ -283,6 +312,77 @@ def test_left_translate_is_the_image_subset():
         for mask in (0b1, 0b111, 0b101010, G.full_mask):
             expected = mask_from_indices(G.mul(g, x) for x in indices_of_mask(mask))
             assert G.left_translate(g, mask) == expected
+
+
+def _check_translates(G, g, masks):
+    assert [G.left_translate(g, m) for m in masks] == \
+        [bit_loop_translate(G, g, m) for m in masks]
+
+
+@pytest.mark.parametrize("name, G", build_roster())
+def test_byte_tables_match_bit_loops_through_order_8(name, G):
+    masks = range(1 << G.order)
+    for g in G.elements():
+        _check_translates(G, g, masks)
+
+
+def test_indices_of_mask_matches_bit_loop_through_16_bits():
+    masks = range(1 << 16)
+    assert [indices_of_mask(m) for m in masks] == [bit_loop_indices(m) for m in masks]
+
+
+@pytest.mark.parametrize("name, G", order_16_roster())
+def test_byte_tables_match_bit_loops_at_order_16(name, G):
+    rng = random.Random(name)
+    masks = ([0, 0xFF, 0xFF00, G.full_mask] + [1 << x for x in G.elements()]
+             + [rng.getrandbits(16) for _ in range(2000)])
+    for g in G.elements():
+        _check_translates(G, g, masks)
+
+
+@functools.cache
+def _spec_group(spec):
+    return make_group(spec)
+
+
+@st.composite
+def _translate_cases(draw):
+    # orders up to 80: several byte positions, and a partial last byte
+    kind = draw(st.sampled_from(["cyclic", "dihedral"]))
+    G = _spec_group(f"{kind}:{draw(st.integers(1, 40))}")
+    return G, draw(st.integers(0, G.order - 1)), draw(st.integers(0, G.full_mask))
+
+
+@given(_translate_cases())
+def test_byte_tables_match_bit_loops_on_sampled_groups(case):
+    G, g, mask = case
+    assert G.left_translate(g, mask) == bit_loop_translate(G, g, mask)
+    assert indices_of_mask(mask) == bit_loop_indices(mask)
+
+
+@given(st.integers(0, 1 << 300))
+def test_indices_of_wide_masks_match_bit_loop(mask):
+    assert indices_of_mask(mask) == bit_loop_indices(mask)
+
+
+def test_masks_outside_the_group_raise():
+    G = make_group("cyclic:12")     # a partial last byte
+    for bad in (-1, -(1 << 40), G.full_mask + 1, 1 << 15, 1 << 100):
+        with pytest.raises(ValueError, match="not a subset"):
+            G.left_translate(3, bad)
+    with pytest.raises(ValueError, match="negative"):
+        indices_of_mask(-1)
+
+
+def test_translate_tables_are_built_per_element_on_first_use():
+    G = make_group("dihedral:8")
+    assert G._translate_tables == [None] * 16
+    G.left_translate(5, 0b1011)
+    built = [t for t in G._translate_tables if t is not None]
+    assert len(built) == 1 and [len(t) for t in built[0]] == [256, 256]
+    for g in G.elements():
+        G.left_translate(g, 1)
+    assert sum(len(t) for ts in G._translate_tables for t in ts) == 16 * 2 * 256
 
 
 def test_conjugate_mask_matches_elementwise():

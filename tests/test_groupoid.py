@@ -2,7 +2,12 @@
 
 import pytest
 
-from groups_util import build_roster, order_16_roster
+from groups_util import (
+    bit_loop_indices,
+    bit_loop_translate,
+    build_roster,
+    order_16_roster,
+)
 from pargroupoid.group import (
     GroupOrderBoundError,
     indices_of_mask,
@@ -155,18 +160,13 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _translate(G, g, mask):
-    # uncached, so the oracle shares no state with the finder
-    return mask_from_indices(G.mul(g, x) for x in indices_of_mask(mask))
-
-
 def _union_find_components(G):
     """Vertex tuples of every component, sorted by base mask."""
     masks = range(1, 1 << G.order, 2)
     uf = _UnionFind(masks)
     for mask in masks:
-        for x in indices_of_mask(mask):
-            uf.union(mask, _translate(G, G.inverse(x), mask))
+        for x in bit_loop_indices(mask):
+            uf.union(mask, bit_loop_translate(G, G.inverse(x), mask))
     groups = {}
     for mask in masks:
         groups.setdefault(uf.find(mask), []).append(mask)
@@ -180,7 +180,7 @@ def test_unit_components_match_union_find_oracle(name, G):
     for vertices, isotropy in found:
         base = vertices[0]
         assert isotropy.mask == mask_from_indices(
-            g for g in G.elements() if _translate(G, g, base) == base)
+            g for g in G.elements() if bit_loop_translate(G, g, base) == base)
 
 
 @pytest.mark.parametrize("name,G", build_roster())
@@ -190,10 +190,10 @@ def test_connected_components_match_union_find_oracle(name, G):
     for vertices in _union_find_components(G):
         base = vertices[0]
         stab = mask_from_indices(
-            g for g in G.elements() if _translate(G, g, base) == base)
+            g for g in G.elements() if bit_loop_translate(G, g, base) == base)
         arrows = tuple(
             GammaElement(base, next(g for g in G.elements()
-                                    if _translate(G, g, base) == v))
+                                    if bit_loop_translate(G, g, base) == v))
             for v in vertices)
         expected.append((vertices, stab, arrows))
     assert [(c.vertices, c.isotropy.mask, c.chosen_arrows)

@@ -194,6 +194,23 @@ def test_scalar_family_is_shared():
     assert there.gamma is Z3_NAT.gamma and there.scalars is D
 
 
+def test_scalar_lookups_hash_no_fractions(monkeypatch):
+    # specs hash by identity; hashing the fields hashed QNN's Fraction
+    # sample prefix, and the delta spec's nested base, on every lookup
+    alg = GammaAlgebra(Gamma(Z3), QNN)
+    D = delta_of(QNN)
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    assert alg.with_scalars(delta_of(QNN)) is alg.with_scalars(D)
+    assert calls == []
+
+
 def test_order_16_basis_is_flat():
     # two flat per-arrow sequences and closed-form lookups: one frozen object
     # per arrow took 29.0 MB and the algebra's index dict 18.3 MB more

@@ -419,9 +419,10 @@ def test_decomposition_report_is_json_ready(roster_map):
 
 
 def test_report_work_is_bounded(monkeypatch):
-    # One mask walk per report: |I| translations for each component's orbit
-    # and at most |I| for its stabilizer. The per-arrow union-find made
-    # 692,800 translations and enumerated twice per report.
+    # One mask walk per report: |I| translations for each component's base I,
+    # which give its orbit and its isotropy together. A separate stabilizer
+    # pass made 67,888, and the per-arrow union-find made 692,800
+    # translations and enumerated twice per report.
     calls = {"translate": 0, "enumerate": 0}
     translate = FiniteGroup.left_translate
     enumerate_ = structure.multiplicity_enumeration
@@ -437,7 +438,7 @@ def test_report_work_is_bounded(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "left_translate", counting_translate)
     monkeypatch.setattr(structure, "multiplicity_enumeration", counting_enumerate)
     decomposition_report(make_group("dihedral:8"))
-    assert calls["translate"] <= 70_000
+    assert calls["translate"] == 33_944
     assert calls["enumerate"] == 1
 
 
