@@ -30,6 +30,7 @@ from .groupoid import (
     GammaElement,
     StandardElement,
     StandardGroupoid,
+    VerificationError,
     component_normal_form,
     connected_components,
 )

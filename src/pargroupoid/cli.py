@@ -8,7 +8,10 @@ same data. Each suite seeds its own generator, so a suite produces the same
 checks whether run alone or as part of `all`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or spec errors,
-3 ingestion or validation errors.
+3 ingestion or validation errors, 4 internal error. Only a VerificationError,
+raised by a mathematical check, counts as a verification failure; any other
+exception is a bug in this program and ends with a one-line `internal error:`
+message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .group import (
     read_json,
     subgroup_as_group,
 )
-from .groupoid import Gamma, StandardGroupoid
+from .groupoid import Gamma, StandardGroupoid, VerificationError
 from .partial_rep import (
     AxiomReport,
     ExtensionMembershipError,
@@ -289,7 +292,7 @@ def _suite_structure(G: FiniteGroup, S: SemiringSpec, seed: int,
         checks.append(_check(
             "component_isomorphisms", True,
             note=f"{summary.components_verified} components verified over {S.name}"))
-    except AssertionError as exc:
+    except VerificationError as exc:
         checks.append(_check("component_isomorphisms", False, note=str(exc)))
         summary = decompose(G, bound=bound)
     checks.append(_check("dimension_audit", summary.audit_ok,
@@ -518,9 +521,13 @@ def run(argv: Sequence[str] | None = None) -> int:
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except AssertionError as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -28,6 +28,17 @@ from .group import (
 )
 
 
+class VerificationError(AssertionError):
+    """A computed structure fails one of the paper's identities.
+
+    Raised by the mathematical checks (component tiling, integrality, the
+    normal form and the block type, the 0/1 span family) so that a
+    counterexample can be told apart from a bug: the command line reports
+    this error as a verification failure and any other exception as an
+    internal error. It stays an AssertionError for callers that catch those.
+    """
+
+
 @dataclass(frozen=True, order=True)
 class GammaElement:
     """A pair (I, g): the subset mask I and the group element index g."""
@@ -192,7 +203,7 @@ def unit_components(G: FiniteGroup) -> list[tuple[tuple[int, ...], Subgroup]]:
             seen[v] = 1
         isotropy = Subgroup(G, stab)
         if len(vertices) * isotropy.order != base.bit_count():
-            raise AssertionError(
+            raise VerificationError(
                 f"component at {G.subset_repr(base)}: {len(vertices)} vertices "
                 f"with isotropy order {isotropy.order} cannot tile a subset of "
                 f"size {base.bit_count()}")

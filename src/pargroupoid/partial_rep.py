@@ -28,7 +28,7 @@ from random import Random
 from typing import Any
 
 from .group import FiniteGroup, from_table, make_group
-from .groupoid import Gamma, GammaElement
+from .groupoid import Gamma, GammaElement, VerificationError
 from .semialgebra import (
     AlgebraElement,
     BasisMismatchError,
@@ -678,7 +678,7 @@ def span_generation(algebra: GammaAlgebra) -> SpanReport:
             return
         for c in el.coeffs.values():
             if not S.eq(c, S.one):
-                raise AssertionError(
+                raise VerificationError(
                     "left products of the canonical images left the 0/1 family")
         seen[key] = el
         queue.append(el)

@@ -18,7 +18,7 @@ import copy
 from random import Random
 from typing import Any, Callable, Iterable, Mapping
 
-from .group import FiniteGroup
+from .group import FiniteGroup, indices_of_mask
 from .groupoid import Gamma, GammaElement, StandardElement, StandardGroupoid
 from .semiring import (
     DeltaElement,
@@ -37,8 +37,10 @@ class AlgebraElement:
     """A finitely supported scalar combination of basis indices.
 
     Equality is semantic: coefficients are compared with the scalar system's
-    own equality over the union of supports, so unreduced difference pairs
-    compare correctly. Elements of different algebra instances never mix.
+    own equality, so unreduced difference pairs compare correctly. A support
+    never holds a zero, so equal elements have equal supports and only the
+    shared keys need a scalar comparison. Elements of different algebra
+    instances never mix.
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -88,11 +90,11 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_same(other)
-        S = self.algebra.scalars
-        for i in self.coeffs.keys() | other.coeffs.keys():
-            if not S.eq(self.coeffs.get(i, S.zero), other.coeffs.get(i, S.zero)):
-                return False
-        return True
+        a, b = self.coeffs, other.coeffs
+        if a.keys() != b.keys():
+            return False
+        eq = self.algebra.scalars.eq
+        return all(eq(c, b[i]) for i, c in a.items())
 
     __hash__ = None  # semantic equality over unreduced scalars
 
@@ -244,9 +246,52 @@ class GammaAlgebra(SparseAlgebra):
         return self.gamma.position(b.mask, b.g)
 
     def convolve(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
-        # Exact join: (I, g)(J, h) is defined iff I = hJ, so bucket y by hJ.
-        # Buckets keep y's order, so sums accumulate as in the double loop;
-        # each entry carries J's start so (J, gh) is found in closed form.
+        # (I, g)(J, h) is defined iff I = hJ. A left term (I, g) composes
+        # with at most |I| right terms, so probe from the left when the sum
+        # of |I| over x is below |y|; stop summing once it reaches |y|.
+        budget = len(y)
+        masks = self.gamma.masks
+        for i in x:
+            budget -= masks[i].bit_count()
+            if budget <= 0:
+                return self._bucket_right(x, y)
+        return self._probe_left(x, y)
+
+    def _probe_left(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
+        # The right terms that compose with (I, g) are (h^-1 I, h) for h in
+        # I, and both their positions and that of (h^-1 I, gh) are closed
+        # form. Keys come in h order, not y's; each key still sums its
+        # contributions in x order, one per left term.
+        gamma = self.gamma
+        masks = gamma.masks
+        gs = gamma.gs
+        start = gamma.start
+        below = gamma.below
+        group = gamma.group
+        translate = group.left_translate
+        inv = group.inv
+        cayley = group.cayley
+        sadd = self.scalars.add
+        smul = self.scalars.mul
+        out: dict[int, Any] = {}
+        for i, a in x.items():
+            mask = masks[i]
+            row = cayley[gs[i]]
+            for h in indices_of_mask(mask):
+                src = translate(inv[h], mask)
+                offset = start[src >> 1]
+                b = y.get(offset + (src & below[h]).bit_count())
+                if b is None:
+                    continue
+                k = offset + (src & below[row[h]]).bit_count()
+                c = smul(a, b)
+                out[k] = sadd(out[k], c) if k in out else c
+        return out
+
+    def _bucket_right(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
+        # Bucket y by hJ. Buckets keep y's order, so sums accumulate as in
+        # the double loop; each entry carries J's start so (J, gh) is found
+        # in closed form.
         gamma = self.gamma
         masks = gamma.masks
         gs = gamma.gs
@@ -301,8 +346,19 @@ class GroupAlgebra(SparseAlgebra):
     def __repr__(self) -> str:
         return f"GroupAlgebra({self.group.name}, {self.scalars.name})"
 
-    def basis_product(self, i: int, j: int) -> int:
-        return self.group.mul(i, j)
+    def convolve(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
+        # every product is defined: read it from the Cayley row of i
+        cayley = self.group.cayley
+        sadd = self.scalars.add
+        smul = self.scalars.mul
+        out: dict[int, Any] = {}
+        for i, a in x.items():
+            row = cayley[i]
+            for j, b in y.items():
+                k = row[j]
+                c = smul(a, b)
+                out[k] = sadd(out[k], c) if k in out else c
+        return out
 
     def _position(self, b) -> int | None:
         return b if isinstance(b, int) and 0 <= b < self.group.order else None
@@ -473,24 +529,40 @@ class MatrixElement:
 
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         self._check_same(other)
-        m = self.algebra.m
-        zero = self.algebra.entries.zero()
+        entries = self.algebra.entries
+        convolve = entries.convolve
+        sadd = entries.scalars.add
+        is_zero = entries.scalars.is_zero
+        zero = entries.zero()
         rows = []
         for a_row in self.rows:
             # a zero entry a = a_row[k] is skipped once for the whole row of
             # the result, which keeps products of near-empty matrices (matrix
-            # units, permutation matrices) cheap; each cell still sums over k
-            # in ascending order
-            acc: list[AlgebraElement | None] = [None] * m
+            # units, permutation matrices) cheap. Each cell sums over k in
+            # ascending order in one dict, and drops a product coefficient or
+            # a partial sum the moment it is zero, as a * b and + would, so
+            # values and key order are theirs.
+            cells: list[dict[int, Any] | None] = [None] * self.algebra.m
             for a, b_row in zip(a_row, other.rows):
                 if not a.coeffs:
                     continue
-                for c, b in enumerate(b_row):
+                for col, b in enumerate(b_row):
                     if not b.coeffs:
                         continue
-                    term = a * b
-                    acc[c] = term if acc[c] is None else acc[c] + term
-            rows.append(tuple(zero if cell is None else cell for cell in acc))
+                    acc = cells[col]
+                    if acc is None:
+                        acc = cells[col] = {}
+                    for key, c in convolve(a.coeffs, b.coeffs).items():
+                        if is_zero(c):
+                            continue
+                        if key in acc:
+                            c = sadd(acc[key], c)
+                            if is_zero(c):
+                                del acc[key]
+                                continue
+                        acc[key] = c
+            rows.append(tuple(zero if acc is None else AlgebraElement(entries, acc)
+                              for acc in cells))
         return MatrixElement(self.algebra, tuple(rows))
 
     def scale(self, c) -> "MatrixElement":

@@ -15,6 +15,7 @@ every structure that is generic over a SemiringSpec works over S^D unchanged.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -57,7 +58,9 @@ class SemiringSpec:
     instead provide `sample_prefix` (deterministic leading test values) and
     `sample` (a seeded pseudo-random draw). `try_sub` returns a - b when that
     difference exists inside the carrier and None otherwise; `neg` exists only
-    on rings of differences, whose base system is kept in `base`.
+    on rings of differences, whose base system is kept in `base`. `is_zero`
+    must agree with `eq(x, zero)`, which is its default; a spec may give a
+    cheaper exact test, such as truthiness for numbers.
 
     Specs are singletons (QNN, NAT, BOOL and the cached `delta_of` of each),
     so they compare and hash by identity: algebras key their scalar variants
@@ -82,9 +85,12 @@ class SemiringSpec:
     fmt: Callable[[Any], str] = field(default=str, repr=False)
     parse: Callable[[str], Any] | None = field(default=None, repr=False)
     base: "SemiringSpec | None" = field(default=None, repr=False)
+    is_zero: Callable[[Any], bool] | None = field(default=None, repr=False)
 
-    def is_zero(self, x) -> bool:
-        return self.eq(x, self.zero)
+    def __post_init__(self):
+        if self.is_zero is None:
+            eq, zero = self.eq, self.zero
+            object.__setattr__(self, "is_zero", lambda x: eq(x, zero))
 
     @property
     def is_delta(self) -> bool:
@@ -183,9 +189,11 @@ def check_semiring_laws(S: SemiringSpec, sample_budget: int = 1000,
            first_triple(lambda a, b, c: eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))))
     record("right_distributive",
            first_triple(lambda a, b, c: eq(mul(add(a, b), c), add(mul(a, c), mul(b, c)))))
+    # zero tests go through eq, so a spec's own is_zero is not trusted here
+    zero = S.zero
     record("zero_annihilates",
            next(((a,) for a in singles
-                 if not (S.is_zero(mul(a, S.zero)) and S.is_zero(mul(S.zero, a)))), None))
+                 if not (eq(mul(a, zero), zero) and eq(mul(zero, a), zero))), None))
 
     # Additive cancellation: a + c = b + c must force a = b. The exhaustive
     # sweep iterates c outermost and a innermost so the first witness found is
@@ -205,7 +213,7 @@ def check_semiring_laws(S: SemiringSpec, sample_budget: int = 1000,
 
     def semifield_witness() -> tuple | None:
         for a in singles:
-            if S.is_zero(a):
+            if eq(a, zero):
                 continue
             if S.mul_inverse is not None:
                 inv = S.mul_inverse(a)
@@ -253,11 +261,12 @@ def _nonneg_int(s: str) -> int:
 #: Non-negative rationals, exact. A semifield.
 QNN = SemiringSpec(
     name="qnn",
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
+    add=operator.add,
+    mul=operator.mul,
     zero=Fraction(0),
     one=Fraction(1),
-    eq=lambda a, b: a == b,
+    eq=operator.eq,
+    is_zero=operator.not_,
     claims_additively_cancellative=True,
     claims_semifield=True,
     mul_inverse=lambda a: None if a == 0 else Fraction(1) / Fraction(a),
@@ -271,11 +280,12 @@ QNN = SemiringSpec(
 #: Natural numbers. Cancellative but not a semifield (2 has no inverse).
 NAT = SemiringSpec(
     name="nat",
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
+    add=operator.add,
+    mul=operator.mul,
     zero=0,
     one=1,
-    eq=lambda a, b: a == b,
+    eq=operator.eq,
+    is_zero=operator.not_,
     claims_additively_cancellative=True,
     claims_semifield=False,
     mul_inverse=lambda a: 1 if a == 1 else None,
@@ -292,7 +302,8 @@ BOOL = SemiringSpec(
     mul=lambda a, b: 1 if (a and b) else 0,
     zero=0,
     one=1,
-    eq=lambda a, b: a == b,
+    eq=operator.eq,
+    is_zero=operator.not_,
     claims_additively_cancellative=False,
     claims_semifield=True,
     carrier=(0, 1),
@@ -425,6 +436,8 @@ def delta_of(S: SemiringSpec) -> SemiringSpec:
         zero=zero,
         one=one,
         eq=lambda x, y: delta_eq(S, x, y),
+        # (p, n) = (0, 0) exactly when p + 0 = n + 0, that is when p = n
+        is_zero=lambda x: S.eq(x.pos, x.neg),
         claims_additively_cancellative=True,
         claims_semifield=S.claims_semifield,
         mul_inverse=_delta_mul_inverse(S),

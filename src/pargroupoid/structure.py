@@ -46,6 +46,7 @@ from .groupoid import (
     ComponentReport,
     Gamma,
     GammaElement,
+    VerificationError,
     component_normal_form,
     connected_components,
     unit_components,
@@ -106,7 +107,7 @@ def stabilizer_census(G: FiniteGroup,
         stab = stabilizer_of_subset(G, mask)
         m, rem = divmod(mask.bit_count(), stab.order)
         if rem:
-            raise AssertionError(
+            raise VerificationError(
                 f"{G.subset_repr(mask)} is not a union of cosets of its stabilizer")
         key = (stab.mask, m)
         census[key] = census.get(key, 0) + 1
@@ -279,7 +280,7 @@ def _verify_normal_form(nf: ComponentIsomorphism) -> None:
     std = nf.standard
     arrows = nf.arrows()
     if len(arrows) != std.size:
-        raise AssertionError(
+        raise VerificationError(
             f"component at {gamma.group.subset_repr(comp.base_vertex)}: "
             f"{len(arrows)} arrows vs {std.size} triples")
     number = {v: k for k, v in enumerate(comp.vertices, start=1)}
@@ -289,23 +290,23 @@ def _verify_normal_form(nf: ComponentIsomorphism) -> None:
         try:
             s = nf.to_standard(x)
         except KeyError:
-            raise AssertionError(
+            raise VerificationError(
                 f"normal form sends {gamma.describe(x)} outside the isotropy") from None
         if s not in triples:
-            raise AssertionError(
+            raise VerificationError(
                 f"normal form sends {gamma.describe(x)} to {s}, not a triple")
         if number[x.mask] != s.j or number.get(gamma.range_of(x).mask) != s.i:
-            raise AssertionError(
+            raise VerificationError(
                 f"normal form moves the source or range of {gamma.describe(x)}")
         if nf.from_standard(s) != x:
-            raise AssertionError(f"normal form round trip fails at {gamma.describe(x)}")
+            raise VerificationError(f"normal form round trip fails at {gamma.describe(x)}")
         image[x] = s
     for y in arrows:
         sy = image[y]
         for x in gamma.arrows_at(gamma.range_of(y).mask):
             p = gamma.product(x, y)
             if p is None or std.product(image[x], sy) != image.get(p):
-                raise AssertionError(
+                raise VerificationError(
                     f"normal form fails multiplicativity at "
                     f"{gamma.describe(x)} * {gamma.describe(y)}")
 
@@ -325,7 +326,7 @@ def _verify_block_type(standard: StandardAlgebra, matrix: MatrixAlgebra) -> None
         for j, (b, mb) in enumerate(zip(basis, mats)):
             p = groupoid.product(a, b)
             if ma * mb != (zero if p is None else mats[standard.index_of(p)]):
-                raise AssertionError(
+                raise VerificationError(
                     f"matrix images fail multiplicativity at "
                     f"{standard.describe_basis(i)} * {standard.describe_basis(j)}")
 

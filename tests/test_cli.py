@@ -14,7 +14,7 @@ from groups_util import build_roster, q8_doc
 from pargroupoid import cli, structure
 from pargroupoid.cli import run
 from pargroupoid.group import FiniteGroup, indices_of_mask
-from pargroupoid.groupoid import Gamma
+from pargroupoid.groupoid import Gamma, VerificationError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -274,6 +274,45 @@ def test_malformed_table_exits_3_with_one_line(tmp_path, capsys, doc):
     code, out, err = _run(capsys, ["gamma", "--group", f"table:{path}"])
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _raise_bare_assertion(*args, **kwargs):
+    raise AssertionError("kernel bug\nsecond line")
+
+
+@pytest.mark.parametrize("argv, kernel", [
+    (["verify", "--group", "cyclic:3", "--suite", "assoc"],
+     (pargroupoid.semialgebra.GammaAlgebra, "convolve")),
+    # the structure suite turns a VerificationError into a failed check,
+    # but must let any other error through
+    (["verify", "--group", "klein4", "--suite", "structure"],
+     (structure, "_verify_block_type")),
+    (["decompose", "--group", "cyclic:3", "--scalar", "qnn"],
+     (structure, "_verify_normal_form")),
+])
+def test_internal_error_exits_4_not_as_a_counterexample(capsys, monkeypatch,
+                                                        argv, kernel):
+    monkeypatch.setattr(*kernel, _raise_bare_assertion)
+    code, _, err = _run(capsys, argv)
+    assert code == 4
+    assert err == "internal error: AssertionError: kernel bug second line\n"
+
+
+def test_verification_error_exits_1(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise VerificationError("matrix images fail multiplicativity")
+
+    monkeypatch.setattr(structure, "_verify_block_type", refuse)
+    code, doc, err = _run_json(capsys, ["verify", "--group", "klein4",
+                                        "--suite", "structure"])
+    assert code == 1 and not doc["passed"]
+    check = doc["suites"][0]["checks"][0]
+    assert check["name"] == "component_isomorphisms" and not check["passed"]
+    assert err.startswith("first failure: component_isomorphisms")
+    monkeypatch.setattr(structure, "_verify_normal_form", refuse)
+    code, _, err = _run(capsys, ["decompose", "--group", "cyclic:3", "--scalar", "qnn"])
+    assert (code, err) == (1, "verification failure: matrix images fail "
+                              "multiplicativity\n")
 
 
 def test_importing_the_cli_does_not_load_numpy():

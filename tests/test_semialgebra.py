@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groups_util import build_roster, direct_product
-from pargroupoid.group import indices_of_mask, make_group
+from pargroupoid.cli import _suite_assoc
+from pargroupoid.group import FiniteGroup, indices_of_mask, make_group
 from pargroupoid.groupoid import Gamma, GammaElement, StandardElement, StandardGroupoid
 from pargroupoid.semialgebra import (
     AlgebraElement,
@@ -80,10 +81,23 @@ def _joined_pair(alg: GammaAlgebra, rng: random.Random, terms: int = 4):
     return x, AlgebraElement(alg, y)
 
 
+def _probes_left(alg: GammaAlgebra, x: AlgebraElement, y: AlgebraElement) -> bool:
+    masks = alg.gamma.masks
+    return sum(masks[i].bit_count() for i in x.coeffs) < len(y.coeffs)
+
+
 def _assert_same_product(alg, x, y):
-    # same coefficients in the same order, not just semantically equal
+    # The same coefficients, not just semantically equal ones: exact values
+    # and unreduced pairs. The bucket path also keeps the double loop's key
+    # order. The left probe inserts keys in h order instead, so it is held to
+    # the mapping; each key still sums its terms in x order, so every value
+    # is still pinned.
     got = x * y
-    assert list(got.coeffs.items()) == list(_brute_product(alg, x, y).coeffs.items())
+    want = _brute_product(alg, x, y).coeffs
+    if _probes_left(alg, x, y):
+        assert got.coeffs == want
+    else:
+        assert list(got.coeffs.items()) == list(want.items())
     return got
 
 
@@ -124,6 +138,83 @@ def test_convolution_matches_brute_force_order_16(G):
         x, y = _joined_pair(alg, rng)
         defined += len(_assert_same_product(alg, x, y).coeffs)
     assert defined >= 20
+
+
+def _probe_pairs(alg: GammaAlgebra, rng: random.Random):
+    # general right factors: uniform, joined to x, and sums of units with
+    # other terms, with y both shorter and longer than x's probe count
+    for _ in range(10):
+        x = alg.random_element(rng, terms=3)
+        yield x, alg.random_element(rng, terms=rng.randrange(1, 12))
+        x, y = _joined_pair(alg, rng, terms=6)
+        yield x, y
+        yield x, y + alg.one()
+        yield y, x + alg.one()
+
+
+def _assert_probe_matches(alg, x, y):
+    want = _brute_product(alg, x, y).coeffs
+    assert AlgebraElement(alg, alg._probe_left(x.coeffs, y.coeffs)).coeffs == want
+    assert AlgebraElement(alg, alg._bucket_right(x.coeffs, y.coeffs)).coeffs == want
+    return want
+
+
+@pytest.mark.parametrize("name", [name for name, _ in build_roster()])
+@pytest.mark.parametrize("scalars", [QNN, delta_of(QNN)], ids=["qnn", "qnn-delta"])
+def test_left_probe_matches_brute_force_all_classes(algebra_of, name, scalars):
+    alg = algebra_of(name, scalars)
+    rng = random.Random(7)
+    defined = sum(len(_assert_probe_matches(alg, x, y))
+                  for x, y in _probe_pairs(alg, rng))
+    assert defined > 0
+
+
+@pytest.mark.parametrize("G", [
+    make_group("dihedral:8"),
+    direct_product(make_group("cyclic:4"), make_group("cyclic:4"), "Z4xZ4"),
+], ids=["dihedral:8", "Z4xZ4"])
+def test_left_probe_matches_brute_force_order_16(G):
+    alg = GammaAlgebra(Gamma(G), QNN)
+    rng = random.Random(16)
+    defined = 0
+    for _ in range(20):
+        x, y = _joined_pair(alg, rng)
+        defined += len(_assert_probe_matches(alg, x, y))
+    assert defined >= 20
+
+
+def test_products_with_one_probe_from_the_left(monkeypatch):
+    # x * one probes |I| candidates per term of x instead of translating all
+    # 2^(n-1) units of one; one * x buckets the terms of x
+    alg = GammaAlgebra(Gamma(make_group("dihedral:4")), QNN)
+    x = alg.random_element(random.Random(3), terms=3)
+    assert _probes_left(alg, x, alg.one())
+    assert not _probes_left(alg, alg.one(), x)
+    calls = []
+    translate = alg.gamma.group.left_translate
+    monkeypatch.setattr(alg.gamma.group, "left_translate",
+                        lambda g, mask: calls.append(g) or translate(g, mask))
+    assert x * alg.one() == x
+    assert len(calls) == sum(alg.gamma.masks[i].bit_count() for i in x.coeffs)
+    calls.clear()
+    assert alg.one() * x == x
+    assert len(calls) == len(x.coeffs)
+
+
+def test_assoc_suite_translate_count(monkeypatch):
+    # the assoc suite on D4 made 77,311 translates when every product
+    # bucketed its right factor, 27.3 M on cyclic:12
+    calls = [0]
+    translate = FiniteGroup.left_translate
+
+    def counting_translate(self, g, mask):
+        calls[0] += 1
+        return translate(self, g, mask)
+
+    monkeypatch.setattr(FiniteGroup, "left_translate", counting_translate)
+    checks = _suite_assoc(make_group("dihedral:4"), QNN, 0, None)
+    assert all(c["passed"] for c in checks)
+    assert calls[0] <= 5_405
 
 
 @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4",
@@ -181,6 +272,25 @@ def test_equality_is_semantic_over_unreduced_pairs():
     y = dalg.element([(b, DeltaElement(2, 0))])
     assert x == y
     assert not x == dalg.element([(b, DeltaElement(3, 5))])
+
+
+def test_equality_compares_supports_then_pairs():
+    dalg = GammaAlgebra(Gamma(make_group("sym:3")), delta_of(QNN))
+    b, c = dalg.basis[3], dalg.basis[5]
+    half, one = Fraction(1, 2), Fraction(1)
+    x = dalg.element([(b, DeltaElement(one + half, half)), (c, DeltaElement(0, one))])
+    y = dalg.element([(c, DeltaElement(half, one + half)), (b, DeltaElement(2 * one, one))])
+    assert x.coeffs != y.coeffs and x == y and y == x
+    # the same pairs on different supports, and one support inside the other
+    moved = dalg.element([(dalg.basis[4], DeltaElement(one + half, half)),
+                          (c, DeltaElement(0, one))])
+    assert x != moved and moved != x
+    assert x != dalg.element([(b, DeltaElement(one, 0))])
+    assert dalg.element([(b, DeltaElement(one, 0))]) != x
+    # a pair equal to zero leaves the support, so it cannot tip the key test
+    assert dalg.element([(b, DeltaElement(one, 0)), (c, DeltaElement(half, half))]) \
+        == dalg.element([(b, DeltaElement(2 * one, one))])
+    assert not x == dalg.element([(b, DeltaElement(one, 0)), (c, DeltaElement(one, 0))])
 
 
 def test_scalar_family_is_shared():
@@ -396,6 +506,69 @@ def test_matrix_product_gives_the_cell_skip_coefficients(scalars):
                 want = [[list(cell.coeffs.items()) for cell in row]
                         for row in _cell_skip_product(X, Y)]
                 assert got == want
+
+
+def _cancelling_grid(alg, rng):
+    # entries on two elements of H with coefficients +-1 and +-2 as unreduced
+    # pairs, so that products and partial sums often cancel
+    zero = alg.entries.zero()
+    H = alg.entries.group
+    coeffs = [DeltaElement(Fraction(p), Fraction(n))
+              for p, n in ((1, 0), (0, 1), (3, 1), (1, 3), (2, 1), (1, 2))]
+    rows = []
+    for _ in range(alg.m):
+        row = []
+        for _ in range(alg.m):
+            if rng.random() < 0.3:
+                row.append(zero)
+                continue
+            keys = rng.sample(range(min(2, H.order)), rng.randrange(1, min(2, H.order) + 1))
+            row.append(AlgebraElement(alg.entries, {h: rng.choice(coeffs) for h in keys}))
+        rows.append(row)
+    return alg.element(rows)
+
+
+def _cancellations(X, Y):
+    # (product coefficients that are zero, partial sums that drop a key)
+    entries = X.algebra.entries
+    zero_products = dropped = 0
+    m = X.algebra.m
+    for r in range(m):
+        for c in range(m):
+            acc = entries.zero()
+            for k in range(m):
+                raw = entries.convolve(X.rows[r][k].coeffs, Y.rows[k][c].coeffs)
+                zero_products += sum(map(entries.scalars.is_zero, raw.values()))
+                nxt = acc + X.rows[r][k] * Y.rows[k][c]
+                dropped += len(acc.coeffs.keys() - nxt.coeffs.keys())
+                acc = nxt
+    return zero_products, dropped
+
+
+@pytest.mark.parametrize("scalars", [QNN, delta_of(QNN)], ids=["qnn", "qnn-delta"])
+def test_fused_matrix_product_matches_oracle_in_order(scalars):
+    # each cell accumulates in one dict; values, unreduced pairs and key
+    # order must be those of the per-term elements summed with +
+    rng = random.Random(59)
+    zero_products = dropped = 0
+    for H in (Z3, make_group("klein4"), make_group("sym:3")):
+        for m in (1, 2, 3, 4):
+            alg = MatrixAlgebra(GroupAlgebra(H, scalars), m)
+            for trial in range(10):
+                if scalars.is_delta and trial % 2:
+                    X, Y = _cancelling_grid(alg, rng), _cancelling_grid(alg, rng)
+                    zp, dr = _cancellations(X, Y)
+                    zero_products += zp
+                    dropped += dr
+                else:
+                    X, Y = _sparse_grid(alg, rng), alg.random_element(rng, 3)
+                got = [[list(cell.coeffs.items()) for cell in row]
+                       for row in (X * Y).rows]
+                want = [[list(cell.coeffs.items()) for cell in row]
+                        for row in _matrix_oracle(X, Y).rows]
+                assert got == want
+    if scalars.is_delta:
+        assert zero_products > 0 and dropped > 0
 
 
 def test_matrix_equality_over_empty_cells():

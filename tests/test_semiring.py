@@ -1,5 +1,6 @@
 """Scalar systems: measured laws, claim consistency, ring of differences."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from pargroupoid.semiring import (
     QNN,
     DeltaElement,
     SemiringPropertyError,
+    SemiringSpec,
     check_semiring_laws,
     delta_add,
     delta_canonical,
@@ -193,3 +195,39 @@ def test_parse_rejects_negative_values():
         QNN.parse("-1/2")
     with pytest.raises(ValueError):
         NAT.parse("-3")
+
+
+def _zero_test_values(S):
+    values = S.values(len(S.sample_prefix) + 500)
+    if S.is_delta:
+        # unreduced pairs: (v, v) is zero, (v + w, w) is v
+        B = S.base
+        base = B.values(len(B.sample_prefix) + 50)
+        values += [DeltaElement(v, v) for v in base]
+        values += [DeltaElement(B.add(v, w), w) for v in base for w in base[:8]]
+    return values
+
+
+@pytest.mark.parametrize("S", [QNN, NAT, BOOL, delta_of(QNN), delta_of(NAT)],
+                         ids=lambda S: S.name)
+def test_is_zero_agrees_with_eq_to_zero(S):
+    values = _zero_test_values(S)
+    assert any(S.is_zero(x) for x in values)
+    assert not all(S.is_zero(x) for x in values)
+    for x in values:
+        assert S.is_zero(x) == S.eq(x, S.zero), x
+
+
+def test_is_zero_defaults_to_eq_with_zero():
+    S = SemiringSpec(name="mod3", add=lambda a, b: (a + b) % 3,
+                     mul=lambda a, b: a * b % 3, zero=3, one=1,
+                     eq=lambda a, b: a % 3 == b % 3, carrier=(0, 1, 2))
+    assert [S.is_zero(x) for x in (0, 1, 2, 3, 6)] == [True, False, False, True, True]
+
+
+def test_law_checker_measures_zero_through_eq():
+    # a spec's is_zero is a fast path, not a law: a wrong one must not turn
+    # the zero of QNN into a missing inverse or an unannihilated product
+    wrong = dataclasses.replace(QNN, name="qnn-wrong-zero", is_zero=lambda x: False)
+    report = check_semiring_laws(wrong)
+    assert report.laws == check_semiring_laws(QNN).laws

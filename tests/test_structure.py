@@ -21,6 +21,7 @@ from pargroupoid.groupoid import (
     Gamma,
     StandardElement,
     StandardGroupoid,
+    VerificationError,
     component_normal_form,
     connected_components,
 )
@@ -232,7 +233,7 @@ def test_iso_verifier_rejects_wrong_shape():
     with pytest.raises(AssertionError, match="arrows"):
         _verify_component_iso(bad)
     nf = dataclasses.replace(iso.normal_form, standard=std.groupoid)
-    with pytest.raises(AssertionError, match="arrows"):
+    with pytest.raises(VerificationError, match="arrows"):
         _verify_normal_form(nf)
 
 
@@ -248,9 +249,9 @@ def test_wrong_chosen_arrow_is_rejected(roster_map):
             # the oracle lets the normal form's lookup error escape
             with pytest.raises((AssertionError, KeyError)):
                 _verify_component_iso(iso)
-            with pytest.raises(AssertionError):
+            with pytest.raises(VerificationError):
                 _verify_normal_form(iso.normal_form)
-            with pytest.raises(AssertionError):
+            with pytest.raises(VerificationError):
                 component_to_matrix_iso(bad)
 
 
@@ -271,7 +272,7 @@ def test_swapped_range_and_source_are_rejected(roster_map):
                     nf.component, nf.standard, nf.iso_elements))
             with pytest.raises(AssertionError, match="round trip"):
                 _verify_component_iso(bad)
-            with pytest.raises(AssertionError, match="source or range"):
+            with pytest.raises(VerificationError, match="source or range"):
                 _verify_normal_form(bad.normal_form)
 
 
@@ -301,7 +302,7 @@ def test_twisted_normal_form_is_rejected(roster_map):
                     nf.component, nf.standard, nf.iso_elements))
             with pytest.raises(AssertionError, match="multiplicativity"):
                 _verify_component_iso(bad)
-            with pytest.raises(AssertionError, match="multiplicativity"):
+            with pytest.raises(VerificationError, match="multiplicativity"):
                 _verify_normal_form(bad.normal_form)
 
 
@@ -321,7 +322,7 @@ def test_normal_form_outside_the_triples_is_rejected(roster_map):
     for iso in _isos(roster_map["S3"]):
         nf = iso.normal_form
         bad = _ShiftedNormalForm(nf.component, nf.standard, nf.iso_elements)
-        with pytest.raises(AssertionError, match="not a triple"):
+        with pytest.raises(VerificationError, match="not a triple"):
             _verify_normal_form(bad)
 
 
@@ -344,7 +345,7 @@ def test_spoilt_grid_product_is_rejected(roster_map, monkeypatch):
             with pytest.raises(AssertionError, match="multiplicativity"):
                 _verify_component_iso(iso)
             _verify_normal_form(iso.normal_form)  # no grids in this step
-            with pytest.raises(AssertionError, match="multiplicativity"):
+            with pytest.raises(VerificationError, match="multiplicativity"):
                 _verify_block_type(iso.standard, iso.matrix)
 
 
