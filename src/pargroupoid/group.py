@@ -10,7 +10,9 @@ because they walk all 2^(order-1) subsets containing the identity.
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
@@ -319,12 +321,19 @@ def _dihedral(n: int) -> FiniteGroup:
 def read_json(path: str, error: type[ValueError]):
     """Parse the JSON file at path.
 
-    Malformed JSON raises json.JSONDecodeError; bytes that are not UTF-8, and
-    nesting too deep for the decoder, raise `error` with a one-line message.
+    A path that is not a regular file (a device such as /dev/zero that never
+    ends, or a FIFO that blocks the reader) raises `error` before it is
+    opened. Malformed JSON raises json.JSONDecodeError; bytes that are not
+    UTF-8, integers longer than the interpreter converts, and nesting too
+    deep for the decoder raise `error` with a one-line message.
     """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise error(f"{path} is not a regular file")
     try:
         return json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path} is not a readable JSON document: {exc}") from None
 
 

@@ -10,7 +10,7 @@ that the defining relations hold:
 The canonical example lambda_p lands in the groupoid semialgebra and sends g
 to the sum of all pairs (I, g). Every partial representation into an algebra
 over cancellative scalars extends to a unital homomorphism out of the whole
-groupoid semialgebra; the extension is computed coefficient-wise in the ring
+groupoid semialgebra; the products that need negation are formed in the ring
 of differences and pulled back, and the factorization (unitality,
 multiplicativity, compatibility with lambda_p, uniqueness via span
 generation) is verified rather than assumed.
@@ -221,14 +221,15 @@ def verify_partial_action(pa: PartialAction) -> AxiomReport:
     D = pa.domains
     A = pa.maps
     inv = G.inverse
-    ground = frozenset(range(pa.set_size))
     checks: list[AxiomCheck] = []
 
-    dom_ok = D[0] == ground
-    dom_w = None if dom_ok else (sorted(ground ^ D[0])[0],)
+    # D_e lies inside the ground set, so it is all of it exactly when the
+    # sizes agree, and the least point it misses is at most |D_e|
+    dom_ok = len(D[0]) == pa.set_size
+    dom_w = None if dom_ok else (next(x for x in range(len(D[0]) + 1) if x not in D[0]),)
     checks.append(AxiomCheck("identity_domain", dom_ok, dom_w))
 
-    id_w = next(((x,) for x in sorted(D[0] & ground) if A[0].get(x) != x), None)
+    id_w = next(((x,) for x in sorted(D[0]) if A[0].get(x) != x), None)
     checks.append(AxiomCheck("identity_map", id_w is None, id_w))
 
     overlap_w = None
@@ -526,25 +527,25 @@ class GammaHom:
 
 
 def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *,
-                        complement_idempotents: bool = True,
                         bound: int | None = None) -> GammaHom:
     """Extend a partial representation to a map on the whole basis (I, g).
 
     The image of (I, g) is pi(g) times the bracket P(I): the product of
     epsilon(r) over r in I times the product of (1 - epsilon(s)) over s
-    outside I, each in ascending element order. It is evaluated in the ring of
-    differences of the target scalars and then pulled back; a value that fails
-    the pullback raises ExtensionMembershipError, at the first such (I, g) in
-    canonical order. P(I) depends on I only, so it is computed once per mask,
-    and both of its products are built from shared prefixes (a mask's product
-    is its parent's, the mask without its top element, times one factor).
-    Only the grouping of the factors changes, never their order, so this
-    relies on associativity alone and not on the idempotents commuting.
+    outside I, each in ascending element order. Only the second product needs
+    negation, so only it is built in the ring of differences of the target
+    scalars; the first stays in the target and is lifted for the one product
+    that forms the bracket. The bracket is then pulled back once per mask.
+    That is enough: P(I) is the image of the unit (I, e), the first arrow of
+    I in canonical order, and each pi(g) P(I) is a product in the target once
+    P(I) is. A bracket that fails the pullback raises ExtensionMembershipError
+    at (I, e), with its unreduced difference pairs as witnesses.
 
-    complement_idempotents=False switches the second product to range over s
-    in I instead. That reading makes every image zero, because the factor at
-    the identity is 1 - 1; it exists so the failure is demonstrable rather
-    than folklore.
+    P(I) depends on I only, so it is computed once per mask, and both of its
+    products are built from shared prefixes (a mask's product is its
+    parent's, the mask without its top element, times one factor). Only the
+    grouping of the factors changes, never their order, so this relies on
+    associativity alone and not on the idempotents commuting.
     """
     if domain is None:
         if isinstance(pi.algebra, GammaAlgebra) and pi.algebra.gamma.group is pi.group:
@@ -554,15 +555,11 @@ def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *
     if pi.image(0) != pi.algebra.one():
         raise ValueError("the identity must map to 1 before extending")
 
-    S = pi.algebra.scalars
-    dtarget = pi.algebra.with_scalars(delta_of(S))
-    one_d = dtarget.one()
+    one_d = pi.algebra.with_scalars(delta_of(pi.algebra.scalars)).one()
     eps = Epsilon(pi)
-    im_d = [_lift(x) for x in pi.images]
-    eps_d = [_lift(x) for x in eps.table]
-    comp_d = [one_d - x for x in eps_d]
+    comp_d = [one_d - _lift(x) for x in eps.table]
 
-    def ascending_product(factors: list, cache: dict, mask: int):
+    def ascending_product(factors, cache: dict, mask: int):
         # product of factors[r] over r in the nonempty mask, in ascending r
         value = cache.get(mask)
         if value is None:
@@ -579,16 +576,14 @@ def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *
     full = pi.group.full_mask
     images = []
     for mask in range(1, full + 1, 2):
-        bracket = ascending_product(eps_d, eps_cache, mask)
-        rest = full ^ mask if complement_idempotents else mask
-        if rest:
-            bracket = bracket * ascending_product(comp_d, comp_cache, rest)
-        for g in domain.gamma.gs_at(mask):
-            lowered, failures = _lower(im_d[g] * bracket, pi.algebra)
+        bracket = ascending_product(eps.table, eps_cache, mask)
+        if mask != full:
+            rest = ascending_product(comp_d, comp_cache, full ^ mask)
+            bracket, failures = _lower(_lift(bracket) * rest, pi.algebra)
             if failures:
-                raise ExtensionMembershipError(GammaElement(mask, g), failures,
+                raise ExtensionMembershipError(GammaElement(mask, 0), failures,
                                                repr(pi.algebra))
-            images.append(lowered)
+        images.extend(pi.image(g) * bracket for g in domain.gamma.gs_at(mask))
     return GammaHom(domain, pi.algebra, tuple(images))
 
 

@@ -167,6 +167,17 @@ def test_verify_structure_matches_golden_bytes(capsys):
     assert out == (GOLDEN / "verify_structure_dihedral4.json").read_text()
 
 
+@pytest.mark.parametrize("scalar", ["qnn", "nat", "qnn-delta"])
+@pytest.mark.parametrize("spec", ["dihedral:4", "klein4"])
+def test_verify_extension_matches_golden_bytes(capsys, spec, scalar):
+    # klein4 also extends the regular representation (order <= 4)
+    code, out, _ = _run(capsys, ["verify", "--suite", "extension",
+                                 "--group", spec, "--scalar", scalar])
+    assert code == 0
+    name = spec.replace(":", "")
+    assert out == (GOLDEN / f"verify_extension_{name}_{scalar}.json").read_text()
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     _, first, _ = _run(capsys, ["verify", "--group", "cyclic:2", "--suite", "laws"])
     _, second, _ = _run(capsys, ["verify", "--group", "cyclic:2", "--suite", "laws"])

@@ -54,17 +54,51 @@ def test_oversized_group_spec_exits_3_with_one_line(spec):
     assert "cap on built Cayley tables" in err
 
 
-@pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
-                         ids=["not-utf8", "too-deep"])
+def _document_argv(command, path):
+    return (["decompose", f"--group=table:{path}"] if command == "table"
+            else ["action-check", "--file", str(path)])
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000,
+                                     b"[" + b"1" * 5000 + b"]"],
+                         ids=["not-utf8", "too-deep", "too-many-digits"])
 @pytest.mark.parametrize("command", ["table", "action-check"])
 def test_unreadable_json_documents_exit_3(tmp_path, payload, command):
+    # an integer past the interpreter's 4,300-digit conversion limit exited 4
     path = tmp_path / "doc.json"
     path.write_bytes(payload)
-    argv = (["decompose", f"--group=table:{path}"] if command == "table"
-            else ["action-check", "--file", str(path)])
-    code, out, err = _run_capped(argv)
+    code, out, err = _run_capped(_document_argv(command, path))
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["dev-zero", "fifo"])
+@pytest.mark.parametrize("command", ["table", "action-check"])
+def test_files_that_are_not_regular_are_refused_unread(tmp_path, kind, command):
+    # /dev/zero was read until the cap ran out (exit 4, MemoryError), and a
+    # FIFO with no writer blocked the reader for good
+    if kind == "fifo":
+        path = tmp_path / "doc.fifo"
+        os.mkfifo(path)
+    else:
+        path = Path("/dev/zero")
+        if not path.exists():
+            pytest.skip("no /dev/zero")
+    code, out, err = _run_capped(_document_argv(command, path))
+    assert (code, out, err) == (3, "", f"error: {path} is not a regular file\n")
+
+
+def test_huge_ground_set_is_never_built(tmp_path):
+    # verify_partial_action built frozenset(range(X)); at X = 10^12 that
+    # exited 4 with MemoryError under the cap
+    path = tmp_path / "action.json"
+    path.write_text('{"group":"cyclic:1","X":1000000000000,'
+                    '"domains":{"0":[]},"maps":{"0":[]}}')
+    code, out, err = _run_capped(["action-check", "--file", str(path)])
+    assert (code, err) == (1, "first failure: identity_domain: (0,)\n")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["identity_domain"] == {
+        "name": "identity_domain", "passed": False, "witness": "(0,)"}
 
 
 _digits = st.one_of(
@@ -135,3 +169,57 @@ def test_fuzzed_table_documents_exit_cleanly(doc):
     # a valid table of order <= 6 decomposes; anything else is refused
     assert code in (0, 3), err
     assert (code == 0) == (out != "")
+
+
+# Action documents: huge, negative, boolean and out-of-range points, maps that
+# are not lists of pairs and missing keys; and restrictions of translation,
+# which are partial actions (exit 0), or fail only the identity domain when X
+# is huge (exit 1).
+_points = st.one_of(st.integers(-2, 5), st.booleans(), st.integers(10**12, 10**30),
+                    _json_values)
+_sizes = st.one_of(st.integers(0, 5), st.integers(10**9, 10**30), st.integers(-5, -1),
+                   st.booleans(), _json_values)
+
+
+@st.composite
+def _action_documents(draw):
+    n = draw(st.integers(1, 3))
+    group = f"cyclic:{n}"
+    if draw(st.booleans()):
+        # Z_n translating itself, cut down to a window W: D_g = W & (g + W),
+        # with the points of W numbered 0..|W|-1 in ascending order
+        window = sorted(draw(st.sets(st.integers(0, n - 1))))
+        point = {x: i for i, x in enumerate(window)}
+        inside = {g: [x for x in window if (x - g) % n in point] for g in range(n)}
+        domains = {str(g): [point[x] for x in inside[g]] for g in range(n)}
+        maps = {str(g): [[point[x], point[(x + g) % n]] for x in inside[-g % n]]
+                for g in range(n)}
+        size = st.one_of(st.just(len(window)), st.integers(10**9, 10**30))
+        return {"group": group, "X": draw(size), "domains": domains, "maps": maps}
+    domains = {str(g): draw(st.one_of(st.lists(_points, max_size=4), _json_values))
+               for g in range(n)}
+    maps = {str(g): draw(st.one_of(
+                st.lists(st.one_of(st.lists(_points, max_size=3), _json_values),
+                         max_size=4),
+                _json_values))
+            for g in range(n)}
+    if draw(st.booleans()):
+        maps.pop(str(draw(st.integers(0, n - 1))))
+    doc = {"group": draw(st.one_of(st.just(group), st.sampled_from(["klein4", "cyclic:x"]),
+                                   _json_values)),
+           "X": draw(_sizes), "domains": domains, "maps": maps}
+    for key in draw(st.sets(st.sampled_from(list(doc)), max_size=1)):
+        del doc[key]
+    return doc
+
+
+@_SUBPROCESS_SETTINGS
+@given(st.one_of(_action_documents(), _json_values))
+def test_fuzzed_action_documents_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run_capped(["action-check", "--file", str(path)])
+    _assert_clean_exit(code, err)
+    # a report is written exactly when the document was checked
+    assert (code in (0, 1)) == (out != ""), err
