@@ -80,7 +80,6 @@ from .semiring import (
     QNN,
     DeltaElement,
     LawReport,
-    ScalarMismatchError,
     SemiringPropertyError,
     SemiringSpec,
     check_semiring_laws,

@@ -3,8 +3,9 @@
 Element indices run 0..order-1 with the identity at index 0. A subset of the
 group is an int whose bit x is set when element x belongs to the subset; all
 subset operations (translation, stabilizers, cosets) work on these masks.
-Subset-enumerating operations refuse groups larger than a configurable bound
-because they walk all 2^(order-1) subsets containing the identity.
+Subset-enumerating operations refuse groups larger than a configurable bound,
+and any group above MAX_ORDER_BOUND, because they walk all 2^(order-1) subsets
+containing the identity.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from typing import Iterable, Sequence
 
 # Orders above this make full subset enumeration infeasible on a desk machine.
 DEFAULT_ORDER_BOUND = 16
+
+# No bound lifts a subset walk past this order. It is the largest walk CI
+# runs (the 2^23 subsets of S4, about 15 s); at orders 30 and 40 a walk runs
+# out of memory instead of finishing.
+MAX_ORDER_BOUND = 24
 
 # cyclic:n and dihedral:n build and validate a full Cayley table, so their
 # order is capped; order 1024 is a million entries.
@@ -423,11 +429,13 @@ def stabilizer_of_subset(G: FiniteGroup, mask: int) -> Subgroup:
 
 
 def _check_bound(G: FiniteGroup, bound: int | None, what: str) -> None:
+    """Refuse a subset walk of G above the bound, or above MAX_ORDER_BOUND."""
     limit = DEFAULT_ORDER_BOUND if bound is None else bound
-    if G.order > limit:
+    if G.order > min(limit, MAX_ORDER_BOUND):
+        cap = (f"the bound {limit}" if limit <= MAX_ORDER_BOUND
+               else f"the hard ceiling {MAX_ORDER_BOUND} on any bound")
         raise GroupOrderBoundError(
-            f"{what} walks all subsets of the group; order {G.order} exceeds "
-            f"the bound {limit}")
+            f"{what} walks all subsets of the group; order {G.order} exceeds {cap}")
 
 
 def _closure_mask(G: FiniteGroup, mask: int) -> int:

@@ -19,9 +19,8 @@ from typing import Iterator
 
 from .group import (
     FiniteGroup,
-    GroupOrderBoundError,
     Subgroup,
-    DEFAULT_ORDER_BOUND,
+    _check_bound,
     indices_of_mask,
     mask_from_indices,
     subgroup_as_group,
@@ -87,11 +86,7 @@ class Gamma:
     """
 
     def __init__(self, group: FiniteGroup, bound: int | None = None):
-        limit = DEFAULT_ORDER_BOUND if bound is None else bound
-        if group.order > limit:
-            raise GroupOrderBoundError(
-                f"building the groupoid walks all subsets; order {group.order} "
-                f"exceeds the bound {limit}")
+        _check_bound(group, bound, "building the groupoid")
         self.group = group
         n = group.order
         inv = group.inv

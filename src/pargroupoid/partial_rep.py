@@ -781,11 +781,7 @@ def regular_representation(G: FiniteGroup, scalars: SemiringSpec) -> PartialRepM
     entries = GroupAlgebra(trivial, scalars)
     target = MatrixAlgebra(entries, G.order)
     unit = entries.basis_element(0)
-    zero = entries.zero()
-    images = []
-    for g in G.elements():
-        rows = tuple(tuple(unit if G.mul(g, c) == r else zero
-                           for c in range(G.order))
-                     for r in range(G.order))
-        images.append(MatrixElement(target, rows))
-    return PartialRepMap(G, target, tuple(images))
+    images = tuple(MatrixElement(target, {(G.mul(g, c) + 1, c + 1): unit
+                                          for c in range(G.order)})
+                   for g in G.elements())
+    return PartialRepMap(G, target, images)

@@ -4,8 +4,9 @@ A SparseAlgebra is a free semimodule on a finite basis together with a partial
 product on basis indices; multiplication of elements is convolution, with
 undefined basis products contributing nothing. Instances cover the groupoid of
 subset-element pairs, a group, and the standard groupoid of triples. Matrix
-semialgebras over a group semialgebra are kept as genuine grids so that the
-triple-basis / matrix-unit comparison is a real check rather than a tautology.
+semialgebras over a group semialgebra are kept as maps of their nonzero cells
+and multiplied row by column, so that the triple-basis / matrix-unit
+comparison is a real check rather than a tautology.
 
 Every algebra is generic over its SemiringSpec; with_scalars produces the same
 structure over different scalars (in particular over a ring of differences),
@@ -429,7 +430,7 @@ class StandardAlgebra(SparseAlgebra):
 
 
 # ---------------------------------------------------------------------------
-# Matrix semialgebras, kept as genuine grids of group-algebra entries.
+# Matrix semialgebras, kept as maps of their nonzero group-algebra cells.
 
 class MatrixAlgebra:
     """m x m matrices over a group semialgebra, multiplied the usual way."""
@@ -457,31 +458,28 @@ class MatrixAlgebra:
             self._variants[scalars] = variant
         return self._variants[scalars]
 
+    def _check_position(self, i: int, j: int) -> None:
+        if not (1 <= i <= self.m and 1 <= j <= self.m):
+            raise ValueError(f"matrix position ({i},{j}) out of range for m={self.m}")
+
     def zero(self) -> "MatrixElement":
-        z = self.entries.zero()
-        return MatrixElement(self, tuple(tuple(z for _ in range(self.m))
-                                         for _ in range(self.m)))
+        return MatrixElement(self, {})
 
     def one(self) -> "MatrixElement":
-        z = self.entries.zero()
         e = self.entries.basis_element(0)
-        return MatrixElement(self, tuple(tuple(e if r == c else z for c in range(self.m))
-                                         for r in range(self.m)))
+        return MatrixElement(self, {(i, i): e for i in range(1, self.m + 1)})
 
     def matrix_unit(self, i: int, j: int, entry: AlgebraElement | None = None) -> "MatrixElement":
         """The matrix with one nonzero entry at 1-based position (i, j)."""
-        if not (1 <= i <= self.m and 1 <= j <= self.m):
-            raise ValueError(f"matrix position ({i},{j}) out of range for m={self.m}")
+        self._check_position(i, j)
         if entry is None:
             entry = self.entries.basis_element(0)
         if entry.algebra is not self.entries:
             raise BasisMismatchError("entry belongs to a different group algebra")
-        z = self.entries.zero()
-        return MatrixElement(self, tuple(
-            tuple(entry if (r, c) == (i - 1, j - 1) else z for c in range(self.m))
-            for r in range(self.m)))
+        return MatrixElement(self, {(i, j): entry})
 
     def element(self, rows: Iterable[Iterable[AlgebraElement]]) -> "MatrixElement":
+        """Build a matrix from a dense grid of entries, zeros included."""
         grid = tuple(tuple(row) for row in rows)
         if len(grid) != self.m or any(len(row) != self.m for row in grid):
             raise ValueError(f"need an {self.m}x{self.m} grid")
@@ -489,22 +487,28 @@ class MatrixAlgebra:
             for entry in row:
                 if entry.algebra is not self.entries:
                     raise BasisMismatchError("entry belongs to a different group algebra")
-        return MatrixElement(self, grid)
+        return MatrixElement(self, {(r, c): entry for r, row in enumerate(grid, start=1)
+                                    for c, entry in enumerate(row, start=1)})
 
     def random_element(self, rng: Random, terms: int = 2) -> "MatrixElement":
-        return MatrixElement(self, tuple(
-            tuple(self.entries.random_element(rng, terms) for _ in range(self.m))
-            for _ in range(self.m)))
+        span = range(1, self.m + 1)
+        return MatrixElement(self, {(r, c): self.entries.random_element(rng, terms)
+                                    for r in span for c in span})
 
 
 class MatrixElement:
-    """A grid of group-algebra elements with matrix addition and product."""
+    """A matrix over a group semialgebra with matrix addition and product.
 
-    __slots__ = ("algebra", "rows")
+    cells maps a 1-based position (i, j) to its entry. It holds only the
+    nonzero entries, in row-major order, so equal matrices have equal key
+    sets and a product visits only the pairs of cells that meet.
+    """
 
-    def __init__(self, algebra: MatrixAlgebra, rows: tuple[tuple[AlgebraElement, ...], ...]):
+    __slots__ = ("algebra", "cells")
+
+    def __init__(self, algebra: MatrixAlgebra, cells: Mapping[tuple[int, int], AlgebraElement]):
         self.algebra = algebra
-        self.rows = rows
+        self.cells = {pos: cells[pos] for pos in sorted(cells) if cells[pos].coeffs}
 
     def _check_same(self, other: "MatrixElement") -> None:
         if self.algebra is not other.algebra:
@@ -513,19 +517,26 @@ class MatrixElement:
 
     def entry(self, i: int, j: int) -> AlgebraElement:
         """The entry at 1-based position (i, j)."""
-        return self.rows[i - 1][j - 1]
+        self.algebra._check_position(i, j)
+        cell = self.cells.get((i, j))
+        return self.algebra.entries.zero() if cell is None else cell
 
     def __add__(self, other: "MatrixElement") -> "MatrixElement":
         self._check_same(other)
-        return MatrixElement(self.algebra, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        out = dict(self.cells)
+        for pos, b in other.cells.items():
+            out[pos] = out[pos] + b if pos in out else b
+        return MatrixElement(self.algebra, out)
 
     def __sub__(self, other: "MatrixElement") -> "MatrixElement":
         self._check_same(other)
-        return MatrixElement(self.algebra, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        zero = self.algebra.entries.zero()
+        # (1, 1) stands in when both sides are zero, so that scalars without
+        # negation refuse the subtraction whatever the operands
+        positions = self.cells.keys() | other.cells.keys() or {(1, 1)}
+        return MatrixElement(self.algebra, {
+            pos: self.cells.get(pos, zero) - other.cells.get(pos, zero)
+            for pos in positions})
 
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         self._check_same(other)
@@ -533,68 +544,58 @@ class MatrixElement:
         convolve = entries.convolve
         sadd = entries.scalars.add
         is_zero = entries.scalars.is_zero
-        zero = entries.zero()
-        rows = []
-        for a_row in self.rows:
-            # a zero entry a = a_row[k] is skipped once for the whole row of
-            # the result, which keeps products of near-empty matrices (matrix
-            # units, permutation matrices) cheap. Each cell sums over k in
-            # ascending order in one dict, and drops a product coefficient or
-            # a partial sum the moment it is zero, as a * b and + would, so
-            # values and key order are theirs.
-            cells: list[dict[int, Any] | None] = [None] * self.algebra.m
-            for a, b_row in zip(a_row, other.rows):
-                if not a.coeffs:
-                    continue
-                for col, b in enumerate(b_row):
-                    if not b.coeffs:
+        right_rows: dict[int, list[tuple[int, AlgebraElement]]] = {}
+        for (k, j), b in other.cells.items():
+            right_rows.setdefault(k, []).append((j, b))
+        # The left cells come in row-major order, so each cell (i, j) sums
+        # over k in ascending order in one dict. It drops a product
+        # coefficient or a partial sum the moment it is zero, as a * b and +
+        # would, so values and key order are theirs.
+        sums: dict[tuple[int, int], dict[int, Any]] = {}
+        for (i, k), a in self.cells.items():
+            for j, b in right_rows.get(k, ()):
+                acc = sums.setdefault((i, j), {})
+                for key, c in convolve(a.coeffs, b.coeffs).items():
+                    if is_zero(c):
                         continue
-                    acc = cells[col]
-                    if acc is None:
-                        acc = cells[col] = {}
-                    for key, c in convolve(a.coeffs, b.coeffs).items():
+                    if key in acc:
+                        c = sadd(acc[key], c)
                         if is_zero(c):
+                            del acc[key]
                             continue
-                        if key in acc:
-                            c = sadd(acc[key], c)
-                            if is_zero(c):
-                                del acc[key]
-                                continue
-                        acc[key] = c
-            rows.append(tuple(zero if acc is None else AlgebraElement(entries, acc)
-                              for acc in cells))
-        return MatrixElement(self.algebra, tuple(rows))
+                    acc[key] = c
+        return MatrixElement(self.algebra, {pos: AlgebraElement(entries, acc)
+                                            for pos, acc in sums.items()})
 
     def scale(self, c) -> "MatrixElement":
-        return MatrixElement(self.algebra, tuple(
-            tuple(entry.scale(c) for entry in row) for row in self.rows))
+        return MatrixElement(self.algebra, {pos: entry.scale(c)
+                                            for pos, entry in self.cells.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixElement):
             return NotImplemented
         self._check_same(other)
-        return all((not a.coeffs and not b.coeffs) or a == b
-                   for ra, rb in zip(self.rows, other.rows)
-                   for a, b in zip(ra, rb))
+        a, b = self.cells, other.cells
+        return a.keys() == b.keys() and all(entry == b[pos] for pos, entry in a.items())
 
     __hash__ = None
 
     @property
     def is_zero(self) -> bool:
-        return all(entry.is_zero for row in self.rows for entry in row)
+        return not self.cells
 
     def to_json(self) -> dict:
         fmt = self.algebra.scalars.fmt
         terms = []
-        for r, row in enumerate(self.rows, start=1):
-            for c, entry in enumerate(row, start=1):
-                for h in sorted(entry.coeffs):
-                    terms.append({"b": [h, r, c], "c": fmt(entry.coeffs[h])})
+        for (r, c), entry in self.cells.items():
+            for h in sorted(entry.coeffs):
+                terms.append({"b": [h, r, c], "c": fmt(entry.coeffs[h])})
         terms.sort(key=lambda t: (t["b"][0], t["b"][1], t["b"][2]))
         return {"basis": "matrix", "terms": terms}
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(f"[{entry!r}]" for entry in row) for row in self.rows)
+        span = range(1, self.algebra.m + 1)
+        body = "; ".join(" ".join(f"[{self.entry(r, c)!r}]" for c in span) for r in span)
         return f"<{body}>"
 
 
@@ -608,15 +609,14 @@ def standard_to_matrix(x: AlgebraElement, target: MatrixAlgebra) -> MatrixElemen
         raise BasisMismatchError(f"expected a triple-basis element, got {alg!r}")
     if target.m != alg.groupoid.m or target.entries.group is not alg.groupoid.H:
         raise BasisMismatchError(f"{target!r} does not match {alg!r}")
-    grids: list[list[dict[int, Any]]] = [[{} for _ in range(target.m)]
-                                         for _ in range(target.m)]
+    cells: dict[tuple[int, int], dict[int, Any]] = {}
     add = target.scalars.add
     for i, c in x.coeffs.items():
         el = alg.basis[i]
-        cell = grids[el.i - 1][el.j - 1]
+        cell = cells.setdefault((el.i, el.j), {})
         cell[el.h] = add(cell[el.h], c) if el.h in cell else c
-    return MatrixElement(target, tuple(
-        tuple(AlgebraElement(target.entries, cell) for cell in row) for row in grids))
+    return MatrixElement(target, {pos: AlgebraElement(target.entries, cell)
+                                  for pos, cell in cells.items()})
 
 
 def tensor_phi(A: Iterable[Iterable[Any]], w: AlgebraElement,
@@ -633,8 +633,8 @@ def tensor_phi(A: Iterable[Iterable[Any]], w: AlgebraElement,
     grid = tuple(tuple(row) for row in A)
     if len(grid) != target.m or any(len(row) != target.m for row in grid):
         raise ValueError(f"need an {target.m}x{target.m} scalar grid")
-    return MatrixElement(target, tuple(
-        tuple(w.scale(a) for a in row) for row in grid))
+    return MatrixElement(target, {(r, c): w.scale(a) for r, row in enumerate(grid, start=1)
+                                  for c, a in enumerate(row, start=1)})
 
 
 def tensor_varphi(X: MatrixElement, target: StandardAlgebra) -> AlgebraElement:
@@ -642,12 +642,9 @@ def tensor_varphi(X: MatrixElement, target: StandardAlgebra) -> AlgebraElement:
     alg = X.algebra
     if target.groupoid.m != alg.m or target.groupoid.H is not alg.entries.group:
         raise BasisMismatchError(f"{target!r} does not match {alg!r}")
-    pairs = []
-    for r, row in enumerate(X.rows, start=1):
-        for c, entry in enumerate(row, start=1):
-            for h, coeff in entry.coeffs.items():
-                pairs.append((StandardElement(h, r, c), coeff))
-    return target.element(pairs)
+    return target.element([(StandardElement(h, r, c), coeff)
+                           for (r, c), entry in X.cells.items()
+                           for h, coeff in entry.coeffs.items()])
 
 
 def matrix_algebra_for(standard: StandardAlgebra) -> MatrixAlgebra:
@@ -763,13 +760,10 @@ def element_from_delta(x: AlgebraElement, base: SparseAlgebra
 
 
 def matrix_to_delta(X: MatrixElement) -> MatrixElement:
-    S = X.algebra.scalars
-    dalg = X.algebra.with_scalars(delta_of(S))
-    return MatrixElement(dalg, tuple(
-        tuple(AlgebraElement(dalg.entries,
-                             {i: DeltaElement(c, S.zero) for i, c in entry.coeffs.items()})
-              for entry in row)
-        for row in X.rows))
+    """The same matrix with every entry lifted by element_to_delta."""
+    dalg = X.algebra.with_scalars(delta_of(X.algebra.scalars))
+    return MatrixElement(dalg, {pos: element_to_delta(entry)
+                                for pos, entry in X.cells.items()})
 
 
 def matrix_from_delta(X: MatrixElement, base: MatrixAlgebra
@@ -780,23 +774,20 @@ def matrix_from_delta(X: MatrixElement, base: MatrixAlgebra
     if X.algebra is not dalg:
         raise BasisMismatchError(
             f"matrix lives in {X.algebra!r}, not the difference variant of {base!r}")
-    rows = []
+    cells: dict[tuple[int, int], AlgebraElement] = {}
     failures: list[tuple[Any, DeltaElement]] = []
-    for r, row in enumerate(X.rows, start=1):
-        new_row = []
-        for c, entry in enumerate(row, start=1):
-            out: dict[int, Any] = {}
-            for h, coeff in entry.coeffs.items():
-                v = delta_canonical(S, coeff)
-                if v is None:
-                    failures.append(((h, r, c), coeff))
-                else:
-                    out[h] = v
-            new_row.append(AlgebraElement(base.entries, out))
-        rows.append(tuple(new_row))
+    for (r, c), entry in X.cells.items():
+        out: dict[int, Any] = {}
+        for h, coeff in entry.coeffs.items():
+            v = delta_canonical(S, coeff)
+            if v is None:
+                failures.append(((h, r, c), coeff))
+            else:
+                out[h] = v
+        cells[r, c] = AlgebraElement(base.entries, out)
     if failures:
         return None, failures
-    return MatrixElement(base, tuple(rows)), []
+    return MatrixElement(base, cells), []
 
 
 # ---------------------------------------------------------------------------

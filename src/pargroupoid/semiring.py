@@ -45,10 +45,6 @@ class SemiringPropertyError(ValueError):
     """An operation needs a property the scalar system does not provide."""
 
 
-class ScalarMismatchError(ValueError):
-    """Two values belong to different scalar systems."""
-
-
 @dataclass(frozen=True, eq=False)
 class SemiringSpec:
     """A scalar system: carrier plus operations and declared properties.

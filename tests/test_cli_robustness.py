@@ -101,6 +101,23 @@ def test_huge_ground_set_is_never_built(tmp_path):
         "name": "identity_domain", "passed": False, "witness": "(0,)"}
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["decompose", "--group", "cyclic:40", "--bound", "40"], {}),
+    (["decompose", "--group", "cyclic:40"], {"PARGROUPOID_BOUND": "40"}),
+    (["gamma", "--group", "cyclic:30", "--bound", "30"], {}),
+    (["verify", "--group", "cyclic:30", "--bound", "30", "--suite", "assoc"], {}),
+], ids=["decompose-flag", "decompose-env", "gamma", "verify-assoc"])
+def test_bounds_past_the_ceiling_exit_3_with_one_line(argv, env, monkeypatch):
+    # these exited 4 with MemoryError under the cap, the decompose run at
+    # once and the other two after about 20 s
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = _run_capped(argv)
+    _assert_clean_exit(code, err)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.endswith("exceeds the hard ceiling 24 on any bound\n")
+
+
 _digits = st.one_of(
     st.integers(0, 40).map(str),
     st.integers(0, 10**9).map(str),

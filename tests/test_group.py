@@ -420,6 +420,15 @@ def test_subgroups_are_kept_on_the_group():
         subgroups(G, bound=4)
 
 
+def test_no_bound_lifts_a_walk_past_the_ceiling():
+    G = make_group("cyclic:25")
+    with pytest.raises(GroupOrderBoundError, match="hard ceiling 24"):
+        subgroups(G, bound=25)
+    with pytest.raises(GroupOrderBoundError, match="order 25 exceeds the bound 24$"):
+        subgroups(G, bound=24)
+    assert len(subgroups(make_group("cyclic:24"), bound=100)) == 8
+
+
 def test_subgroup_rejects_non_closed_subsets():
     G = make_group("cyclic:4")
     with pytest.raises(ValueError):

@@ -419,16 +419,22 @@ def test_standard_algebra_product_matches_groupoid():
 # ---------------------------------------------------------------------------
 # Matrices and the triple-basis comparison.
 
+def _grid(X):
+    # the dense grid of entries, read through the 1-based entry accessor
+    span = range(1, X.algebra.m + 1)
+    return [[X.entry(r, c) for c in span] for r in span]
+
+
 def _matrix_oracle(X, Y):
     alg = X.algebra
-    m = alg.m
+    span = range(1, alg.m + 1)
     rows = []
-    for r in range(m):
+    for r in span:
         row = []
-        for c in range(m):
+        for c in span:
             acc = alg.entries.zero()
-            for k in range(m):
-                acc = acc + X.rows[r][k] * Y.rows[k][c]
+            for k in span:
+                acc = acc + X.entry(r, k) * Y.entry(k, c)
             row.append(acc)
         rows.append(tuple(row))
     return alg.element(rows)
@@ -461,18 +467,18 @@ def test_matrix_product_against_oracle():
 # test-only oracle for the per-(r, k) skip that replaced it.
 def _cell_skip_product(X, Y):
     alg = X.algebra
-    m = alg.m
+    span = range(1, alg.m + 1)
     zero = alg.entries.zero()
     rows = []
-    for r in range(m):
+    for r in span:
         row = []
-        for c in range(m):
+        for c in span:
             acc = None
-            for k in range(m):
-                a = X.rows[r][k]
+            for k in span:
+                a = X.entry(r, k)
                 if not a.coeffs:
                     continue
-                b = Y.rows[k][c]
+                b = Y.entry(k, c)
                 if not b.coeffs:
                     continue
                 term = a * b
@@ -487,7 +493,7 @@ def _sparse_grid(alg, rng):
     X = alg.random_element(rng, terms=3)
     zero = alg.entries.zero()
     return alg.element([[zero if rng.random() < 0.5 else cell for cell in row]
-                        for row in X.rows])
+                        for row in _grid(X)])
 
 
 @pytest.mark.parametrize("scalars", [QNN, delta_of(QNN)], ids=["qnn", "delta"])
@@ -502,7 +508,7 @@ def test_matrix_product_gives_the_cell_skip_coefficients(scalars):
                 X = alg.random_element(rng, 3) if dense else _sparse_grid(alg, rng)
                 Y = alg.random_element(rng, 3) if dense else _sparse_grid(alg, rng)
                 got = [[list(cell.coeffs.items()) for cell in row]
-                       for row in (X * Y).rows]
+                       for row in _grid(X * Y)]
                 want = [[list(cell.coeffs.items()) for cell in row]
                         for row in _cell_skip_product(X, Y)]
                 assert got == want
@@ -532,14 +538,14 @@ def _cancellations(X, Y):
     # (product coefficients that are zero, partial sums that drop a key)
     entries = X.algebra.entries
     zero_products = dropped = 0
-    m = X.algebra.m
-    for r in range(m):
-        for c in range(m):
+    span = range(1, X.algebra.m + 1)
+    for r in span:
+        for c in span:
             acc = entries.zero()
-            for k in range(m):
-                raw = entries.convolve(X.rows[r][k].coeffs, Y.rows[k][c].coeffs)
+            for k in span:
+                raw = entries.convolve(X.entry(r, k).coeffs, Y.entry(k, c).coeffs)
                 zero_products += sum(map(entries.scalars.is_zero, raw.values()))
-                nxt = acc + X.rows[r][k] * Y.rows[k][c]
+                nxt = acc + X.entry(r, k) * Y.entry(k, c)
                 dropped += len(acc.coeffs.keys() - nxt.coeffs.keys())
                 acc = nxt
     return zero_products, dropped
@@ -563,9 +569,9 @@ def test_fused_matrix_product_matches_oracle_in_order(scalars):
                 else:
                     X, Y = _sparse_grid(alg, rng), alg.random_element(rng, 3)
                 got = [[list(cell.coeffs.items()) for cell in row]
-                       for row in (X * Y).rows]
+                       for row in _grid(X * Y)]
                 want = [[list(cell.coeffs.items()) for cell in row]
-                        for row in _matrix_oracle(X, Y).rows]
+                        for row in _grid(_matrix_oracle(X, Y))]
                 assert got == want
     if scalars.is_delta:
         assert zero_products > 0 and dropped > 0
@@ -587,6 +593,51 @@ def test_matrix_entry_indexing_is_one_based():
     assert X.entry(2, 1).is_zero
     with pytest.raises(ValueError):
         alg.matrix_unit(0, 1)
+    # entry(0, 1) read the (2, 1) entry through a negative index, and
+    # entry(3, 1) raised IndexError
+    for i, j in ((0, 1), (3, 1), (1, 0), (1, 3), (-1, -1)):
+        with pytest.raises(ValueError) as info:
+            X.entry(i, j)
+        assert str(info.value) == f"matrix position ({i},{j}) out of range for m=2"
+
+
+def _assert_no_cells(X):
+    assert X.is_zero and X.cells == {}
+
+
+def test_zero_matrices_hold_no_cells():
+    rng = random.Random(71)
+    alg = MatrixAlgebra(GroupAlgebra(Z3, QNN), 3)
+    X = alg.random_element(rng, 3)
+    _assert_no_cells(X.scale(QNN.zero))
+    _assert_no_cells(alg.matrix_unit(2, 3, alg.entries.zero()))
+    _assert_no_cells(alg.zero())
+    _assert_no_cells(alg.matrix_unit(1, 2) * alg.matrix_unit(1, 2))
+    swap = alg.matrix_unit(2, 1) + alg.matrix_unit(1, 2)
+    for Z in (X, X * X, swap, swap * X):
+        assert list(Z.cells) == sorted(Z.cells)  # row-major
+
+    dalg = alg.with_scalars(delta_of(QNN))
+    Y = dalg.random_element(rng, 3)
+    _assert_no_cells(Y - Y)
+    # a partial sum that cancels: (E11 + E12)(E11 - E21) = E11 - E11, with
+    # -1 held as the unreduced pair (2, 3)
+    one = DeltaElement(Fraction(1), Fraction(0))
+    minus = DeltaElement(Fraction(2), Fraction(3))
+    e = dalg.entries.element([(0, one)])
+    m = dalg.entries.element([(0, minus)])
+    left = dalg.matrix_unit(1, 1, e) + dalg.matrix_unit(1, 2, e)
+    right = dalg.matrix_unit(1, 1, e) + dalg.matrix_unit(2, 1, m)
+    _assert_no_cells(left * right)
+
+
+@pytest.mark.parametrize("scalars", [QNN, NAT], ids=["qnn", "nat"])
+def test_matrix_subtraction_needs_negation_even_on_zero(scalars):
+    alg = MatrixAlgebra(GroupAlgebra(Z3, scalars), 2)
+    with pytest.raises(SemiringPropertyError):
+        alg.zero() - alg.zero()
+    with pytest.raises(SemiringPropertyError):
+        alg.one() - alg.zero()
 
 
 def test_standard_matrix_round_trip():
