@@ -472,10 +472,14 @@ class GammaHom:
     def apply(self, x: AlgebraElement):
         if x.algebra is not self.domain:
             raise BasisMismatchError(f"element lives in {x.algebra!r}, not {self.domain!r}")
-        acc = self.target.zero()
-        for i in sorted(x.coeffs):
-            acc = acc + self.images[i].scale(x.coeffs[i])
-        return acc
+        # summed in pairs, level by level, so each term is copied about
+        # log2(N) times rather than once per later term
+        terms = ([self.images[i].scale(x.coeffs[i]) for i in sorted(x.coeffs)]
+                 or [self.target.zero()])
+        while len(terms) > 1:
+            pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+            terms = pairs + terms[2 * len(pairs):]
+        return terms[0]
 
     def with_image(self, el: GammaElement, value) -> "GammaHom":
         """A copy with one basis image replaced; used by mutation tests."""
@@ -541,48 +545,51 @@ def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *
     P(I) is. A bracket that fails the pullback raises ExtensionMembershipError
     at (I, e), with its unreduced difference pairs as witnesses.
 
-    P(I) depends on I only, so it is computed once per mask, and both of its
-    products are built from shared prefixes (a mask's product is its
-    parent's, the mask without its top element, times one factor). Only the
-    grouping of the factors changes, never their order, so this relies on
-    associativity alone and not on the idempotents commuting.
+    P(I) depends on I only, so it is computed once per mask, by one
+    depth-first walk that decides the elements 1 .. n-1 in ascending order
+    and extends either the epsilon prefix or the (1 - epsilon) prefix by one
+    factor per decision. Every product keeps its factor order and its
+    ascending, left-nested grouping, so this relies on associativity alone,
+    not on the idempotents commuting; at most two pairs of prefixes per
+    element are live. The brackets are then emitted in ascending mask order.
     """
     if domain is None:
         if isinstance(pi.algebra, GammaAlgebra) and pi.algebra.gamma.group is pi.group:
             domain = pi.algebra
         else:
             domain = GammaAlgebra(Gamma(pi.group, bound), pi.algebra.scalars)
+    elif domain.gamma.group is not pi.group or domain.scalars is not pi.algebra.scalars:
+        raise BasisMismatchError(f"cannot extend a partial representation of "
+                                 f"{pi.group.name} over {pi.algebra.scalars.name} "
+                                 f"to {domain!r}")
     if pi.image(0) != pi.algebra.one():
         raise ValueError("the identity must map to 1 before extending")
 
     one_d = pi.algebra.with_scalars(delta_of(pi.algebra.scalars)).one()
     eps = Epsilon(pi)
     comp_d = [one_d - _lift(x) for x in eps.table]
+    n = pi.group.order
+    brackets: dict[int, tuple] = {}
 
-    def ascending_product(factors, cache: dict, mask: int):
-        # product of factors[r] over r in the nonempty mask, in ascending r
-        value = cache.get(mask)
-        if value is None:
-            top = mask.bit_length() - 1
-            parent = mask ^ (1 << top)
-            value = factors[top]
-            if parent:
-                value = ascending_product(factors, cache, parent) * value
-            cache[mask] = value
-        return value
-
-    eps_cache: dict[int, Any] = {}
-    comp_cache: dict[int, Any] = {}
-    full = pi.group.full_mask
+    # each entry holds the ascending products of epsilon over the elements
+    # below r in the mask and of 1 - epsilon over those not in it; the
+    # second is None until an element is left out
+    stack = [(1, 1, eps.table[0], None)]
+    while stack:
+        r, mask, inside, outside = stack.pop()
+        if r == n:
+            brackets[mask] = ((inside, ()) if outside is None
+                              else _lower(_lift(inside) * outside, pi.algebra))
+            continue
+        stack.append((r + 1, mask, inside,
+                      comp_d[r] if outside is None else outside * comp_d[r]))
+        stack.append((r + 1, mask | 1 << r, inside * eps.table[r], outside))
     images = []
-    for mask in range(1, full + 1, 2):
-        bracket = ascending_product(eps.table, eps_cache, mask)
-        if mask != full:
-            rest = ascending_product(comp_d, comp_cache, full ^ mask)
-            bracket, failures = _lower(_lift(bracket) * rest, pi.algebra)
-            if failures:
-                raise ExtensionMembershipError(GammaElement(mask, 0), failures,
-                                               repr(pi.algebra))
+    for mask in range(1, pi.group.full_mask + 1, 2):
+        bracket, failures = brackets.pop(mask)
+        if failures:
+            raise ExtensionMembershipError(GammaElement(mask, 0), failures,
+                                           repr(pi.algebra))
         images.extend(pi.image(g) * bracket for g in domain.gamma.gs_at(mask))
     return GammaHom(domain, pi.algebra, tuple(images))
 

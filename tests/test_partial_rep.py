@@ -2,7 +2,10 @@
 
 import pytest
 
+import gc
+import math
 import random
+import tracemalloc
 
 from groups_util import build_roster
 from pargroupoid.group import indices_of_mask, make_group
@@ -360,6 +363,77 @@ def test_extension_shares_products_per_mask(monkeypatch):
     bound = alg.size + 3 * 2 ** (n - 1) + n
     assert bound == 576 + 384 + 8
     assert calls <= bound, calls
+
+
+def test_extension_memory_stays_near_the_returned_map():
+    # the walk keeps one bracket per mask and O(n) prefixes, so the traced
+    # peak stays within twice what the returned map holds; a cache of every
+    # prefix product would reach about five times it
+    lam = lambda_p(GammaAlgebra(Gamma(make_group("cyclic:10")), NAT))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ext = extend_to_gamma_hom(lam)
+        held, peak = tracemalloc.get_traced_memory()
+        del ext
+        gc.collect()
+        rest, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (held - rest), (peak, held - rest)
+
+
+@pytest.mark.parametrize("spec, scalars", [("klein4", QNN), ("cyclic:3", QNN), (None, NAT)],
+                         ids=["same-order", "smaller", "other-scalars"])
+def test_extension_rejects_a_foreign_domain(spec, scalars):
+    # another group of the same order, a smaller group, and other scalars
+    lam = lambda_p(GammaAlgebra(Gamma(make_group("cyclic:4")), QNN))
+    group = lam.group if spec is None else make_group(spec)
+    with pytest.raises(BasisMismatchError):
+        extend_to_gamma_hom(lam, GammaAlgebra(Gamma(group), scalars))
+
+
+def _left_fold_apply(hom, x):
+    # the running sum, one term at a time in ascending basis order
+    acc = hom.target.zero()
+    for i in sorted(x.coeffs):
+        acc = acc + hom.images[i].scale(x.coeffs[i])
+    return acc
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lambda_p(GammaAlgebra(Gamma(make_group("sym:3")), QNN)),
+    lambda: lambda_p(GammaAlgebra(Gamma(make_group("sym:3")), delta_of(QNN))),
+    lambda: regular_representation(Z3, QNN),
+], ids=["qnn", "qnn-delta", "regular-z3"])
+def test_apply_matches_left_fold(make):
+    ext = extend_to_gamma_hom(make())
+    dom = ext.domain
+    rng = random.Random(5)
+    for x in [dom.zero(), dom.one()] + [dom.random_element(rng) for _ in range(20)]:
+        assert ext.apply(x) == _left_fold_apply(ext, x)
+
+
+def test_apply_copies_each_term_logarithmically(monkeypatch):
+    # summing in pairs copies each term once per level; a running sum would
+    # copy itself once per term, 8,256 entries for the 128 units of cyclic:8
+    alg = GammaAlgebra(Gamma(make_group("cyclic:8")), QNN)
+    ext = extend_to_gamma_hom(lambda_p(alg))
+    entries = 0
+    original = AlgebraElement.__add__
+
+    def counted(x, y):
+        nonlocal entries
+        entries += len(x.coeffs) + len(y.coeffs)
+        return original(x, y)
+
+    monkeypatch.setattr(AlgebraElement, "__add__", counted)
+    everything = AlgebraElement(alg, {i: QNN.one for i in range(alg.size)})
+    for x in (alg.one(), everything):
+        n = len(x.coeffs)
+        entries = 0
+        assert ext.apply(x) == x
+        assert entries <= n * math.ceil(math.log2(n)) + n, (n, entries)
 
 
 def test_regular_representation_matrices():
