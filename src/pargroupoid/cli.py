@@ -29,12 +29,14 @@ from .group import (
     GroupOrderBoundError,
     GroupSpecError,
     GroupTableError,
-    indices_of_mask,
+    _byte_tables,
+    _check_bound,
+    _sums_over_masks_with_e,
     make_group,
     read_json,
     subgroup_as_group,
 )
-from .groupoid import Gamma, StandardGroupoid, VerificationError
+from .groupoid import Gamma, StandardGroupoid, VerificationError, arrow_rows
 from .partial_rep import (
     AxiomReport,
     ExtensionMembershipError,
@@ -327,44 +329,53 @@ _SUITES: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _gamma_chunks(gamma: Gamma, fmt: str) -> Iterator[str]:
-    """The `gamma` listing, one chunk per source mask.
+def _gamma_chunks(G: FiniteGroup, fmt: str) -> Iterator[str]:
+    """The `gamma` listing, one chunk per source mask, with no Gamma built.
 
     The bytes are those of json.dumps(indent=2) over the document
     {group, order, labels, size, unit_count, elements: [{I, g, unit}, ...]}
     and of its text rendering; the header goes through json.dumps itself, so
-    labels are escaped the same way. Each mask's I block is rendered once and
-    each arrow adds only its g and unit flag (the unit is g = e, index 0).
+    labels are escaped the same way. The counts are closed-form: 2^(n-1)
+    masks contain e, one unit each, and they hold (n+1) * 2^(n-2) elements
+    in all, one arrow each. Each mask's I block is read from byte tables of
+    rendered elements (every I holds e, index 0, so the tables render the
+    rest), its g come from `arrow_rows`, and its chunk is one str.join of
+    the arrow tails (g and unit flag; the unit is g = e) with the arrow
+    prefix as the separator.
     """
-    G = gamma.group
     n = G.order
     labels = [G.label(i) for i in G.elements()]
+    size = (n + 1) * (1 << n) // 4
+    unit_count = 1 << (n - 1)
+    rows = arrow_rows(G)
     if fmt == "json":
         head = {"group": G.name, "order": n, "labels": labels,
-                "size": gamma.size, "unit_count": len(gamma.unit_indices)}
-        yield json.dumps(head, indent=2)[:-2] + ',\n  "elements": [\n'
+                "size": size, "unit_count": unit_count}
+        yield json.dumps(head, indent=2)[:-2] + ',\n  "elements": ['
         tails = [f'{g},\n      "unit": {"true" if g == 0 else "false"}\n    }}'
                  for g in range(n)]
-        sep = ""
-        for mask in range(1, 1 << n, 2):
-            block = ",\n".join(f"        {x}" for x in indices_of_mask(mask))
-            arrow = '    {\n      "I": [\n' + block + '\n      ],\n      "g": '
-            yield sep + ",\n".join(arrow + tails[g] for g in gamma.gs_at(mask))
+        blocks = _sums_over_masks_with_e(
+            _byte_tables([""] + [f",\n        {x}" for x in range(1, n)], ""))
+        sep = "\n"
+        for block, row in zip(blocks, rows):
+            arrow = '    {\n      "I": [\n        0' + block + '\n      ],\n      "g": '
+            yield sep + arrow + (",\n" + arrow).join(map(tails.__getitem__, row))
             sep = ",\n"
         yield "\n  ]\n}\n"
     else:
-        yield (f"Gamma({G.name}): {gamma.size} arrows, "
-               f"{len(gamma.unit_indices)} units\n")
+        yield f"Gamma({G.name}): {size} arrows, {unit_count} units\n"
         tails = [f", {labels[g]}){'  unit' if g == 0 else ''}\n" for g in range(n)]
-        for mask in range(1, 1 << n, 2):
-            arrow = "  ({" + ",".join(labels[x] for x in indices_of_mask(mask)) + "}"
-            yield "".join(arrow + tails[g] for g in gamma.gs_at(mask))
+        names = _sums_over_masks_with_e(
+            _byte_tables([""] + ["," + labels[x] for x in range(1, n)], ""))
+        for name, row in zip(names, rows):
+            arrow = "  ({" + labels[0] + name + "}"
+            yield arrow + arrow.join(map(tails.__getitem__, row))
 
 
 def _cmd_gamma(args) -> int:
     G = make_group(args.group)
-    gamma = Gamma(G, _resolve_bound(args))
-    _emit(functools.partial(_gamma_chunks, gamma), args)
+    _check_bound(G, _resolve_bound(args), "building the groupoid")
+    _emit(functools.partial(_gamma_chunks, G), args)
     return 0
 
 

@@ -15,10 +15,11 @@ import os
 import re
 import stat
 from dataclasses import dataclass
-from itertools import permutations
-from operator import itemgetter
+from functools import reduce
+from itertools import permutations, product, repeat
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Orders above this make full subset enumeration infeasible on a desk machine.
 DEFAULT_ORDER_BOUND = 16
@@ -59,17 +60,47 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     return mask
 
 
+def _byte_tables(parts: Sequence, empty) -> list[list]:
+    """Per byte position c, the sums of parts over the bit patterns of a byte.
+
+    Entry b of table c adds parts[8c + x] over the set bits x of b, in
+    ascending x, starting from empty; a partial last byte gets 2^r entries.
+    Each table is built by doubling, one part at a time. The parts may be
+    ints with disjoint bits (so + is |), strings, bytes or tuples.
+    """
+    tables = []
+    for lo in range(0, len(parts), 8):
+        table = [empty]
+        for part in parts[lo:lo + 8]:
+            table += [t + part for t in table]
+        tables.append(table)
+    return tables
+
+
+def _sums_over_masks_with_e(tables: list[list]) -> Iterator:
+    """For each mask containing e (bit 0), ascending, the sum over its byte
+    positions c, lowest first, of tables[c][byte c of the mask].
+
+    Only the 2^7 odd entries of the lowest position are held as a list; the
+    higher positions are walked as a product, the top one slowest.
+    """
+    low, *high = tables
+    empty = low[0]
+    low = low[1::2]
+    for parts in product(*reversed(high)):
+        yield from map(add, low, repeat(reduce(add, reversed(parts), empty)))
+
+
 # _BYTE_BITS[c][b] lists the elements 8c + x for the set bits x of the byte
 # value b, so a mask's elements are the entries of its bytes joined in order.
 # A byte position is added when a mask first reaches it.
-_BYTE_BITS: list[tuple[tuple[int, ...], ...]] = []
+_BYTE_BITS: list[list[tuple[int, ...]]] = []
 
 
 def _add_byte_positions(bit_length: int) -> None:
     while 8 * len(_BYTE_BITS) < bit_length:
         base = 8 * len(_BYTE_BITS)
-        _BYTE_BITS.append(tuple(tuple(base + x for x in range(8) if b >> x & 1)
-                                for b in range(256)))
+        _BYTE_BITS.extend(_byte_tables([(base + x,) for x in range(8)], ()))
 
 
 def indices_of_mask(mask: int) -> list[int]:
@@ -229,16 +260,9 @@ class FiniteGroup:
         return out
 
     def _build_translate_tables(self, g: int) -> tuple[list[int], ...]:
-        row = self.cayley[g]
-        tables = []
-        for lo in range(0, self.order, 8):
-            # entry b ORs the images of the set bits of b: doubling per bit
-            table = [0]
-            for y in row[lo:lo + 8]:
-                bit = 1 << y
-                table += [t | bit for t in table]
-            tables.append(table)
-        self._translate_tables[g] = tables = tuple(tables)
+        # entry b ORs the image bits of the set bits of b; they are disjoint
+        tables = tuple(_byte_tables([1 << y for y in self.cayley[g]], 0))
+        self._translate_tables[g] = tables
         return tables
 
     def conjugate_mask(self, g: int, mask: int) -> int:

@@ -14,13 +14,17 @@ and the mask-level block table in `structure`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import Iterator
 
 from .group import (
     FiniteGroup,
     Subgroup,
+    _byte_tables,
     _check_bound,
+    _sums_over_masks_with_e,
     indices_of_mask,
     mask_from_indices,
     subgroup_as_group,
@@ -68,6 +72,27 @@ class ArrowView:
         return map(GammaElement, self._masks, self._gs)
 
 
+def arrow_rows(group: FiniteGroup) -> Iterator[bytes]:
+    """The g of the arrows (I, g) of each mask I containing e, ascending in I.
+
+    (I, g) is an arrow exactly when g is in I^-1, so a row is the elements of
+    I^-1, ascending, one byte each (orders up to 255). The mask I^-1 is read
+    from byte tables of the inverse map, built by the same doubling as the
+    translate tables of a Cayley row, in one stream per byte k of I^-1. Byte
+    k picks that part of the row from a table of element bytes, and the
+    parts are joined in k. So no row is sorted and no element is visited on
+    its own.
+    """
+    inverse = _byte_tables([1 << x for x in group.inv], 0)
+    elements = _byte_tables([bytes((x,)) for x in group.elements()], b"")
+    parts = [map(table.__getitem__,
+                 _sums_over_masks_with_e([[t >> 8 * k & 255 for t in inv_table]
+                                          for inv_table in inverse]))
+             for k, table in enumerate(elements)]
+    # concatenate the streams of parts, position by position
+    return reduce(partial(map, add), parts)
+
+
 class Gamma:
     """All pairs (I, g) of a group, in canonical (mask, g) order.
 
@@ -82,7 +107,10 @@ class Gamma:
         position(I, g) = start[I >> 1] + (I & below[g]).bit_count()
 
     The first arrow of each mask is its unit (e^-1 = e is the least g), so
-    the unit positions are start itself.
+    the unit positions are start itself. gs joins the rows of `arrow_rows`;
+    mask I has |I| arrows, so masks and start follow from the popcounts with
+    no Python step per mask or per arrow. The `gamma` command streams the
+    same rows and builds no Gamma.
     """
 
     def __init__(self, group: FiniteGroup, bound: int | None = None):
@@ -92,17 +120,11 @@ class Gamma:
         inv = group.inv
         self.below = tuple(mask_from_indices(x for x in range(n) if inv[x] < g)
                            for g in range(n))
-        start: list[int] = []
-        masks: list[int] = []
-        gs = bytearray()
-        for mask in range(1, 1 << n, 2):
-            start.append(len(gs))
-            row = sorted(inv[x] for x in indices_of_mask(mask))
-            masks.extend([mask] * len(row))
-            gs.extend(row)
-        self.masks = tuple(masks)
-        self.gs = bytes(gs)
-        self.start = tuple(start)
+        sources = range(1, 1 << n, 2)
+        counts = list(map(int.bit_count, sources))
+        self.gs = b"".join(arrow_rows(group))
+        self.masks = tuple(chain.from_iterable(map(repeat, sources, counts)))
+        self.start = (0, *accumulate(counts[:-1]))
         self.unit_indices = self.start
         self.elements = ArrowView(self.masks, self.gs)
 

@@ -1,5 +1,7 @@
 """The groupoid of subset-element pairs and its component structure."""
 
+from itertools import islice
+
 import pytest
 
 from groups_util import (
@@ -19,6 +21,7 @@ from pargroupoid.groupoid import (
     GammaElement,
     StandardElement,
     StandardGroupoid,
+    arrow_rows,
     component_normal_form,
     connected_components,
     unit_components,
@@ -291,6 +294,33 @@ def test_position_matches_enumerate_index(name, G):
     for sl in [slice(None), slice(3, 9), slice(-5, None), slice(None, None, -7),
                slice(size - 2, size + 5), slice(size + 1, None)]:
         assert view[sl] == arrows[sl]
+
+
+# The rows of arrow_rows from the definition: the inverses of the elements of
+# each mask, sorted, with no byte table. Kept as the test-only oracle of the
+# row source that Gamma and the `gamma` command read.
+
+def _sorted_inverses(G, masks) -> list[bytes]:
+    inv, n = G.inv, G.order
+    return [bytes(sorted(inv[x] for x in range(n) if mask >> x & 1))
+            for mask in masks]
+
+
+@pytest.mark.parametrize("name,G", build_roster() + order_16_roster())
+def test_arrow_rows_match_sorted_inverses(name, G):
+    assert list(arrow_rows(G)) == _sorted_inverses(G, range(1, 1 << G.order, 2))
+
+
+# Orders 17 to 24 use three byte positions. A full walk there is up to 2^23
+# rows, so only a walk prefix is compared: it passes bit 16, so the top
+# position is walked, and the inverses of the low elements fill all three.
+@pytest.mark.parametrize("spec", [f"cyclic:{n}" for n in range(17, 25)]
+                         + [f"dihedral:{n}" for n in range(9, 13)])
+def test_arrow_rows_walk_prefix_on_three_byte_positions(spec):
+    G = make_group(spec)
+    count = (1 << 15) + (1 << 8)
+    assert (list(islice(arrow_rows(G), count))
+            == _sorted_inverses(G, range(1, 2 * count, 2)))
 
 
 @pytest.mark.parametrize("name,G", build_roster())
