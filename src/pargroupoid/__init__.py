@@ -88,9 +88,7 @@ from .semiring import (
 )
 from .structure import (
     BlockDescriptor,
-    ComponentMatrixIso,
     DecompositionSummary,
-    component_to_matrix_iso,
     coset_count_identity,
     cross_component_orthogonality,
     decompose,
@@ -99,6 +97,7 @@ from .structure import (
     multiplicity_recursion,
     recursion_diff,
     stabilizer_census,
+    verify_component_isomorphisms,
     vertex_count_identity,
 )
 

@@ -75,6 +75,7 @@ from .structure import (
     decomposition_report,
     recursion_diff,
     stabilizer_census,
+    verify_component_isomorphisms,
     vertex_count_identity,
 )
 
@@ -288,15 +289,13 @@ def _suite_delta(G: FiniteGroup, S: SemiringSpec, seed: int,
 
 def _suite_structure(G: FiniteGroup, S: SemiringSpec, seed: int,
                      bound: int | None) -> list[dict]:
-    checks = []
+    summary = decompose(G, bound)
     try:
-        summary = decompose(G, S, bound)
-        checks.append(_check(
-            "component_isomorphisms", True,
-            note=f"{summary.components_verified} components verified over {S.name}"))
+        verified = verify_component_isomorphisms(Gamma(G, bound), S)
+        checks = [_check("component_isomorphisms", True,
+                         note=f"{verified} components verified over {S.name}")]
     except VerificationError as exc:
-        checks.append(_check("component_isomorphisms", False, note=str(exc)))
-        summary = decompose(G, bound=bound)
+        checks = [_check("component_isomorphisms", False, note=str(exc))]
     checks.append(_check("dimension_audit", summary.audit_ok,
                          None if summary.audit_ok
                          else (summary.audit_lhs, summary.audit_rhs)))
@@ -381,8 +380,10 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_decompose(args) -> int:
     G = make_group(args.group)
-    scalars = _scalar(args.scalar) if args.scalar else None
-    doc = decomposition_report(G, scalars, _resolve_bound(args))
+    bound = _resolve_bound(args)
+    doc = decomposition_report(G, bound)
+    if args.scalar:
+        verify_component_isomorphisms(Gamma(G, bound), _scalar(args.scalar))
 
     def render(d: dict) -> str:
         lines = [f"KGamma({d['group']}): {d['gamma_size']} basis arrows"]

@@ -187,7 +187,7 @@ class Gamma:
 # ---------------------------------------------------------------------------
 # Connectivity.
 
-def unit_components(G: FiniteGroup) -> list[tuple[tuple[int, ...], Subgroup]]:
+def unit_components(G: FiniteGroup) -> Iterator[tuple[tuple[int, ...], Subgroup]]:
     """The components of the unit graph with their isotropy, by base mask.
 
     An arrow (I, g) joins I to g*I exactly when g^-1 is in I, so the
@@ -201,10 +201,11 @@ def unit_components(G: FiniteGroup) -> list[tuple[tuple[int, ...], Subgroup]]:
     vertex count m must tile the base as m * |isotropy| = |base|; this is
     asserted because every later structure computation leans on it. All
     2^(order-1) masks are walked, so callers check the order bound first.
+    The components are yielded one at a time, so a caller that only counts
+    them holds one orbit, not every vertex.
     """
     translate, inv = G.left_translate, G.inv
     seen = bytearray(1 << G.order)
-    out = []
     for base in range(1, 1 << G.order, 2):
         if seen[base]:
             continue
@@ -224,8 +225,7 @@ def unit_components(G: FiniteGroup) -> list[tuple[tuple[int, ...], Subgroup]]:
                 f"component at {G.subset_repr(base)}: {len(vertices)} vertices "
                 f"with isotropy order {isotropy.order} cannot tile a subset of "
                 f"size {base.bit_count()}")
-        out.append((vertices, isotropy))
-    return out
+        yield vertices, isotropy
 
 
 @dataclass(frozen=True)

@@ -326,9 +326,14 @@ class GammaAlgebra(SparseAlgebra):
 
     def basis_from_key(self, key) -> GammaElement:
         indices, g = key
+        n = self.gamma.group.order
         mask = 0
         for k in indices:
-            mask |= 1 << int(k)
+            k = int(k)
+            if not 0 <= k < n:
+                raise ValueError(
+                    f"subset index {k} is out of range for a group of order {n}")
+            mask |= 1 << k
         return self.gamma.element(mask, int(g))
 
     def describe_basis(self, i: int) -> str:

@@ -43,7 +43,6 @@ from .group import (
 )
 from .groupoid import (
     ComponentIsomorphism,
-    ComponentReport,
     Gamma,
     GammaElement,
     VerificationError,
@@ -57,7 +56,7 @@ from .semialgebra import (
     matrix_algebra_for,
     standard_to_matrix,
 )
-from .semiring import QNN, SemiringSpec
+from .semiring import SemiringSpec
 
 
 def gamma_size_from_subsets(G: FiniteGroup) -> int:
@@ -244,25 +243,6 @@ def recursion_diff(G: FiniteGroup, bound: int | None = None,
 # ---------------------------------------------------------------------------
 # Per-component matrix isomorphisms.
 
-@dataclass(frozen=True)
-class ComponentMatrixIso:
-    """A verified isomorphism from one component onto a matrix semialgebra.
-
-    Arrows map through the component's normal form to triples and on to
-    matrix units: an arrow with normal form (h, i, j) becomes h times the
-    (i, j) matrix unit.
-    """
-
-    component: ComponentReport
-    normal_form: ComponentIsomorphism
-    standard: StandardAlgebra
-    matrix: MatrixAlgebra
-
-    def arrow_to_matrix(self, el):
-        s = self.normal_form.to_standard(el)
-        return standard_to_matrix(self.standard.basis_element(s), self.matrix)
-
-
 def _verify_normal_form(nf: ComponentIsomorphism) -> None:
     """Check that the normal form is a groupoid isomorphism, in integers.
 
@@ -331,37 +311,36 @@ def _verify_block_type(standard: StandardAlgebra, matrix: MatrixAlgebra) -> None
                     f"{standard.describe_basis(i)} * {standard.describe_basis(j)}")
 
 
-def component_to_matrix_iso(comp: ComponentReport,
-                            scalars: SemiringSpec = QNN,
-                            verify: bool = True,
-                            checked_types: set | None = None) -> ComponentMatrixIso:
-    """The isomorphism of one component onto M_m(KH), verified by default.
+def verify_component_isomorphisms(gamma: Gamma, scalars: SemiringSpec) -> int:
+    """Check every component's isomorphism onto M_m(KH); return their number.
 
-    Verification follows the two steps of the proof (Steinberg, "A groupoid
+    The check follows the two steps of the proof (Steinberg, "A groupoid
     approach to discrete inverse semigroup algebras", Adv. Math. 2010; for
-    KGamma(G), Dokuchaev-Exel-Piccione, J. Algebra 2000). First, the normal
-    form is a groupoid isomorphism onto the triples over H on m points,
-    checked in integers on the component's composable pairs. Second, the map
-    (h, i, j) -> h E_ij from the algebra of the triples to the m x m matrices
-    over KH is multiplicative, checked on all basis pairs with genuine matrix
-    products. The composite sends the arrows bijectively onto the matrix units
-    and is multiplicative on basis pairs, so it is an algebra isomorphism.
+    KGamma(G), Dokuchaev-Exel-Piccione, J. Algebra 2000). First, each
+    component's normal form is a groupoid isomorphism onto the triples over H
+    on m points, checked in integers on the component's composable pairs.
+    Second, the map (h, i, j) -> h E_ij from the algebra of the triples to the
+    m x m matrices over KH is multiplicative, checked on all basis pairs with
+    genuine matrix products. The composite sends the arrows bijectively onto
+    the matrix units and is multiplicative on basis pairs, so it is an algebra
+    isomorphism.
 
-    The second step depends only on (m, the re-indexed table of H, scalars):
-    equal keys build equal algebras. A key already in checked_types is not
-    checked again, and a key checked here is added to it.
+    The second step depends only on the block type (m, the re-indexed table
+    of H): equal types build equal algebras, so each type met here builds one
+    triple algebra and one matrix algebra and is checked once. The first
+    failure raises VerificationError.
     """
-    nf = component_normal_form(comp)
-    standard = StandardAlgebra(nf.standard, scalars)
-    iso = ComponentMatrixIso(comp, nf, standard, matrix_algebra_for(standard))
-    if verify:
+    comps = connected_components(gamma)
+    checked: set = set()
+    for comp in comps:
+        nf = component_normal_form(comp)
         _verify_normal_form(nf)
-        checked = set() if checked_types is None else checked_types
-        key = (comp.m, nf.standard.H.cayley, scalars)
+        key = (comp.m, nf.standard.H.cayley)
         if key not in checked:
-            _verify_block_type(standard, iso.matrix)
+            standard = StandardAlgebra(nf.standard, scalars)
+            _verify_block_type(standard, matrix_algebra_for(standard))
             checked.add(key)
-    return iso
+    return len(comps)
 
 
 def cross_component_orthogonality(gamma: Gamma) -> tuple[bool, tuple | None]:
@@ -414,8 +393,6 @@ class DecompositionSummary:
     gamma_size: int
     audit_lhs: int
     audit_rhs: int
-    scalars_name: str | None = None
-    components_verified: int | None = None
 
     @property
     def audit_ok(self) -> bool:
@@ -435,30 +412,15 @@ class DecompositionSummary:
         }
 
 
-def decompose(G: FiniteGroup, scalars: SemiringSpec | None = None,
-              bound: int | None = None) -> DecompositionSummary:
+def decompose(G: FiniteGroup, bound: int | None = None) -> DecompositionSummary:
     """The block table of the groupoid semialgebra of G.
 
-    Without scalars this is purely combinatorial and never builds the
-    groupoid. With scalars, the groupoid is built and every component's
-    matrix isomorphism is verified exhaustively over those scalars before the
-    summary is returned. The check follows the two-step proof of the block
-    structure (Steinberg 2010; Dokuchaev-Exel-Piccione 2000), as in
-    component_to_matrix_iso: the normal form is checked once per component,
-    and the triple-to-matrix map once per block type (m, table of H) met in
-    this call.
+    This is purely combinatorial and never builds the groupoid;
+    verify_component_isomorphisms checks the blocks as algebras.
     """
     _check_bound(G, bound, "decomposing")
     counts = multiplicity_enumeration(G, bound)
     _, rep_sub = _class_lookup(conjugacy_classes_of_subgroups(G, bound))
-    verified = None
-    if scalars is not None:
-        comps = connected_components(Gamma(G, bound))
-        checked_types: set = set()
-        for comp in comps:
-            component_to_matrix_iso(comp, scalars, verify=True,
-                                    checked_types=checked_types)
-        verified = len(comps)
     blocks = tuple(
         BlockDescriptor(rep_sub[mask], m, counts[(mask, m)])
         for mask, m in sorted(counts,
@@ -467,15 +429,12 @@ def decompose(G: FiniteGroup, scalars: SemiringSpec | None = None,
     rhs = gamma_size_from_subsets(G)
     return DecompositionSummary(
         group=G.name, blocks=blocks, gamma_size=rhs,
-        audit_lhs=lhs, audit_rhs=rhs,
-        scalars_name=None if scalars is None else scalars.name,
-        components_verified=verified)
+        audit_lhs=lhs, audit_rhs=rhs)
 
 
-def decomposition_report(G: FiniteGroup, scalars: SemiringSpec | None = None,
-                         bound: int | None = None) -> dict:
+def decomposition_report(G: FiniteGroup, bound: int | None = None) -> dict:
     """The full report: block table, audit, and the recursion diff."""
-    summary = decompose(G, scalars, bound)
+    summary = decompose(G, bound)
     doc = summary.to_json()
     doc["recursion_diff"] = recursion_diff(G, bound, summary.multiplicities())
     return doc

@@ -197,6 +197,15 @@ def test_decompose_matches_golden_bytes(capsys, spec):
     assert out == (GOLDEN / f"decompose_{name}.json").read_text()
 
 
+@pytest.mark.parametrize("scalar", ["qnn", "nat", "qnn-delta"])
+@pytest.mark.parametrize("spec", ["klein4", "dihedral:4"])
+def test_decompose_with_a_scalar_prints_the_same_bytes(capsys, spec, scalar):
+    # --scalar only adds the component check; the table holds no scalars
+    plain = _run(capsys, ["decompose", "--group", spec])
+    checked = _run(capsys, ["decompose", "--group", spec, "--scalar", scalar])
+    assert checked == plain and plain[0] == 0
+
+
 def test_verify_structure_matches_golden_bytes(capsys):
     code, out, _ = _run(capsys, ["verify", "--suite", "structure",
                                  "--group", "dihedral:4", "--seed", "5"])

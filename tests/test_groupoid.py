@@ -178,7 +178,7 @@ def _union_find_components(G):
 
 @pytest.mark.parametrize("name,G", build_roster() + order_16_roster())
 def test_unit_components_match_union_find_oracle(name, G):
-    found = unit_components(G)
+    found = list(unit_components(G))
     assert [vertices for vertices, _ in found] == _union_find_components(G)
     for vertices, isotropy in found:
         base = vertices[0]

@@ -788,6 +788,18 @@ def test_json_rejects_wrong_basis_tag():
         element_from_json(alg, doc)
 
 
+@pytest.mark.parametrize("index", [10**12, -1])
+def test_json_rejects_a_subset_index_outside_the_group(index):
+    # the index is checked before it is shifted, so 10^12 builds no
+    # 10^12-bit mask and the message stays one line
+    alg = GammaAlgebra(Gamma(Z3), QNN)
+    doc = {"basis": "gamma", "terms": [{"b": [[0, index], 0], "c": "1"}]}
+    with pytest.raises(ValueError) as info:
+        element_from_json(alg, doc)
+    assert str(info.value) == (
+        f"subset index {index} is out of range for a group of order 3")
+
+
 def test_matrix_to_json_sorts_terms():
     mat = MatrixAlgebra(GroupAlgebra(Z3, QNN), 2)
     X = mat.matrix_unit(2, 1) + mat.matrix_unit(1, 1)

@@ -1,7 +1,9 @@
 """Block decomposition: multiplicities, identities, verified matrix isos."""
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,13 +27,15 @@ from pargroupoid.groupoid import (
     component_normal_form,
     connected_components,
 )
-from pargroupoid.semialgebra import StandardAlgebra, matrix_algebra_for
-from pargroupoid.semiring import QNN, delta_of
+from pargroupoid.semialgebra import (
+    StandardAlgebra,
+    matrix_algebra_for,
+    standard_to_matrix,
+)
+from pargroupoid.semiring import NAT, QNN, delta_of
 from pargroupoid.structure import (
-    ComponentMatrixIso,
     _verify_block_type,
     _verify_normal_form,
-    component_to_matrix_iso,
     coset_count_identity,
     cross_component_orthogonality,
     decompose,
@@ -41,6 +45,7 @@ from pargroupoid.structure import (
     multiplicity_recursion,
     recursion_diff,
     stabilizer_census,
+    verify_component_isomorphisms,
     vertex_count_identity,
 )
 
@@ -133,25 +138,33 @@ def test_stabilizer_census_partitions_the_subsets(roster):
 # ---------------------------------------------------------------------------
 # Component isomorphisms: the two-step check and its all-pairs oracle.
 
+def _block(nf: ComponentIsomorphism):
+    """The triple algebra of a normal form over QNN and its matrix algebra."""
+    standard = StandardAlgebra(nf.standard, QNN)
+    return standard, matrix_algebra_for(standard)
+
+
 # The check the two steps replaced, kept as the test-only oracle: every arrow
 # pair of the component goes through a grid product and a grid comparison.
-def _verify_component_iso(iso: ComponentMatrixIso) -> None:
-    nf = iso.normal_form
-    comp = iso.component
+# An arrow with normal form (h, i, j) maps to h times the (i, j) matrix unit.
+def _verify_component_iso(nf: ComponentIsomorphism) -> None:
+    comp = nf.component
     gamma = comp.gamma
+    standard, matrix = _block(nf)
     arrows = nf.arrows()
-    if len(arrows) != iso.standard.size:
+    if len(arrows) != standard.size:
         raise AssertionError(
             f"component at {gamma.group.subset_repr(comp.base_vertex)}: "
-            f"{len(arrows)} arrows vs {iso.standard.size} triples")
+            f"{len(arrows)} arrows vs {standard.size} triples")
     images = [nf.to_standard(x) for x in arrows]
     if len(set(images)) != len(arrows):
         raise AssertionError("normal form is not injective on arrows")
     for x, s in zip(arrows, images):
         if nf.from_standard(s) != x:
             raise AssertionError(f"normal form round trip fails at {gamma.describe(x)}")
-    mats = {x: iso.arrow_to_matrix(x) for x in arrows}
-    zero = iso.matrix.zero()
+    mats = {x: standard_to_matrix(standard.basis_element(s), matrix)
+            for x, s in zip(arrows, images)}
+    zero = matrix.zero()
     for x in arrows:
         for y in arrows:
             p = gamma.product(x, y)
@@ -163,30 +176,33 @@ def _verify_component_iso(iso: ComponentMatrixIso) -> None:
 
 
 def _isos(G, comp_filter=lambda comp: True):
-    return [component_to_matrix_iso(comp, QNN, verify=False)
+    return [component_normal_form(comp)
             for comp in connected_components(Gamma(G)) if comp_filter(comp)]
+
+
+def _block_types(G):
+    return {(comp.m, subgroup_as_group(G, comp.isotropy)[0].cayley)
+            for comp in connected_components(Gamma(G))}
 
 
 @pytest.mark.parametrize("name", [name for name, _ in build_roster()])
 def test_split_check_agrees_with_the_oracle(roster_map, name):
-    for iso in _isos(roster_map[name]):
-        _verify_component_iso(iso)
-        _verify_normal_form(iso.normal_form)
-        _verify_block_type(iso.standard, iso.matrix)
+    for nf in _isos(roster_map[name]):
+        _verify_component_iso(nf)
+        _verify_normal_form(nf)
+        _verify_block_type(*_block(nf))
 
 
 def test_component_isomorphisms_verified(roster_map):
     for name in ("V4", "S3"):
-        summary = decompose(roster_map[name], scalars=QNN)
-        assert summary.components_verified == len(
-            connected_components(Gamma(roster_map[name])))
-        assert summary.scalars_name == "qnn"
-        assert summary.audit_ok
+        gamma = Gamma(roster_map[name])
+        assert verify_component_isomorphisms(gamma, QNN) == len(
+            connected_components(gamma))
 
 
 def test_order_12_components_verified():
-    summary = decompose(make_group("dihedral:6"), scalars=QNN)
-    assert summary.components_verified == 381 and summary.audit_ok
+    assert verify_component_isomorphisms(Gamma(make_group("dihedral:6")), QNN) == 381
+    assert decompose(make_group("dihedral:6")).audit_ok
 
 
 def test_grid_products_once_per_block_type(monkeypatch):
@@ -200,8 +216,7 @@ def test_grid_products_once_per_block_type(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(semialgebra.MatrixElement, "__mul__", counting_mul)
-    summary = decompose(make_group("dihedral:4"), scalars=QNN)
-    assert summary.components_verified == 42
+    assert verify_component_isomorphisms(Gamma(make_group("dihedral:4")), QNN) == 42
     assert calls["mul"] <= 5_164
 
 
@@ -217,24 +232,49 @@ def test_each_block_type_is_checked_once(roster_map, monkeypatch):
     for name in ("S3", "D4", "Q8"):
         G = roster_map[name]
         checked.clear()
-        decompose(G, scalars=QNN)
-        types = {(comp.m, subgroup_as_group(G, comp.isotropy)[0].cayley)
-                 for comp in connected_components(Gamma(G))}
-        assert sorted(checked) == sorted(types), name
+        verify_component_isomorphisms(Gamma(G), QNN)
+        assert sorted(checked) == sorted(_block_types(G)), name
+
+
+def test_algebras_are_built_once_per_block_type(roster_map, monkeypatch):
+    # one triple algebra and one matrix algebra per block type; building
+    # them per component made 42 of each on D4, which has 13 types
+    built = {"standard": 0, "matrix": 0}
+
+    def counting(name, build):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(structure, "StandardAlgebra",
+                        counting("standard", structure.StandardAlgebra))
+    monkeypatch.setattr(structure, "matrix_algebra_for",
+                        counting("matrix", structure.matrix_algebra_for))
+    for name in ("S3", "D4", "Q8"):
+        G = roster_map[name]
+        built.update(standard=0, matrix=0)
+        verify_component_isomorphisms(Gamma(G), QNN)
+        types = len(_block_types(G))
+        assert built == {"standard": types, "matrix": types}, name
 
 
 def test_iso_verifier_rejects_wrong_shape():
     G = make_group("cyclic:2")
     comp = connected_components(Gamma(G))[-1]  # the full-subset component
-    iso = component_to_matrix_iso(comp)
     H_group, _ = subgroup_as_group(G, comp.isotropy)
-    std = StandardAlgebra(StandardGroupoid(H_group, 2), QNN)
-    bad = ComponentMatrixIso(comp, iso.normal_form, std, matrix_algebra_for(std))
+    nf = dataclasses.replace(component_normal_form(comp),
+                             standard=StandardGroupoid(H_group, 2))
     with pytest.raises(AssertionError, match="arrows"):
-        _verify_component_iso(bad)
-    nf = dataclasses.replace(iso.normal_form, standard=std.groupoid)
+        _verify_component_iso(nf)
     with pytest.raises(VerificationError, match="arrows"):
         _verify_normal_form(nf)
+
+
+def _with_swapped_chosen_arrows(comp):
+    arrows = comp.chosen_arrows
+    return dataclasses.replace(
+        comp, chosen_arrows=(arrows[1], arrows[0]) + arrows[2:])
 
 
 def test_wrong_chosen_arrow_is_rejected(roster_map):
@@ -242,17 +282,27 @@ def test_wrong_chosen_arrow_is_rejected(roster_map):
         for comp in connected_components(Gamma(roster_map[name])):
             if comp.m < 2:
                 continue
-            arrows = comp.chosen_arrows
-            bad = dataclasses.replace(
-                comp, chosen_arrows=(arrows[1], arrows[0]) + arrows[2:])
-            iso = component_to_matrix_iso(bad, verify=False)
+            nf = component_normal_form(_with_swapped_chosen_arrows(comp))
             # the oracle lets the normal form's lookup error escape
             with pytest.raises((AssertionError, KeyError)):
-                _verify_component_iso(iso)
+                _verify_component_iso(nf)
             with pytest.raises(VerificationError):
-                _verify_normal_form(iso.normal_form)
-            with pytest.raises(VerificationError):
-                component_to_matrix_iso(bad)
+                _verify_normal_form(nf)
+
+
+def test_wrong_chosen_arrow_fails_the_whole_check(roster_map, monkeypatch):
+    # the first component with two vertices gets its chosen arrows swapped;
+    # the check must stop there with the normal form's own message
+    gamma = Gamma(roster_map["S3"])
+    comps = connected_components(gamma)
+    k = next(k for k, comp in enumerate(comps) if comp.m >= 2)
+    comps[k] = _with_swapped_chosen_arrows(comps[k])
+    with pytest.raises(VerificationError) as expected:
+        _verify_normal_form(component_normal_form(comps[k]))
+    monkeypatch.setattr(structure, "connected_components", lambda _: comps)
+    with pytest.raises(VerificationError) as info:
+        verify_component_isomorphisms(gamma, QNN)
+    assert str(info.value) == str(expected.value)
 
 
 class _SwappedNormalForm(ComponentIsomorphism):
@@ -265,15 +315,12 @@ class _SwappedNormalForm(ComponentIsomorphism):
 
 def test_swapped_range_and_source_are_rejected(roster_map):
     for name in ("V4", "S3"):
-        for iso in _isos(roster_map[name], lambda comp: comp.m >= 2):
-            nf = iso.normal_form
-            bad = dataclasses.replace(
-                iso, normal_form=_SwappedNormalForm(
-                    nf.component, nf.standard, nf.iso_elements))
+        for nf in _isos(roster_map[name], lambda comp: comp.m >= 2):
+            bad = _SwappedNormalForm(nf.component, nf.standard, nf.iso_elements)
             with pytest.raises(AssertionError, match="round trip"):
                 _verify_component_iso(bad)
             with pytest.raises(VerificationError, match="source or range"):
-                _verify_normal_form(bad.normal_form)
+                _verify_normal_form(bad)
 
 
 class _TwistedNormalForm(ComponentIsomorphism):
@@ -295,15 +342,12 @@ class _TwistedNormalForm(ComponentIsomorphism):
 
 def test_twisted_normal_form_is_rejected(roster_map):
     for name in ("V4", "S3"):
-        for iso in _isos(roster_map[name], lambda comp: comp.isotropy.order >= 2):
-            nf = iso.normal_form
-            bad = dataclasses.replace(
-                iso, normal_form=_TwistedNormalForm(
-                    nf.component, nf.standard, nf.iso_elements))
+        for nf in _isos(roster_map[name], lambda comp: comp.isotropy.order >= 2):
+            bad = _TwistedNormalForm(nf.component, nf.standard, nf.iso_elements)
             with pytest.raises(AssertionError, match="multiplicativity"):
                 _verify_component_iso(bad)
             with pytest.raises(VerificationError, match="multiplicativity"):
-                _verify_normal_form(bad.normal_form)
+                _verify_normal_form(bad)
 
 
 class _ShiftedNormalForm(ComponentIsomorphism):
@@ -319,9 +363,11 @@ class _ShiftedNormalForm(ComponentIsomorphism):
 
 
 def test_normal_form_outside_the_triples_is_rejected(roster_map):
-    for iso in _isos(roster_map["S3"]):
-        nf = iso.normal_form
+    for nf in _isos(roster_map["S3"]):
         bad = _ShiftedNormalForm(nf.component, nf.standard, nf.iso_elements)
+        # the oracle's basis lookup refuses a triple outside the algebra
+        with pytest.raises(ValueError, match="not a basis element"):
+            _verify_component_iso(bad)
         with pytest.raises(VerificationError, match="not a triple"):
             _verify_normal_form(bad)
 
@@ -340,12 +386,12 @@ def test_spoilt_grid_product_is_rejected(roster_map, monkeypatch):
 
     monkeypatch.setattr(semialgebra.MatrixElement, "__mul__", spoilt_mul)
     for name in ("V4", "S3"):
-        for iso in _isos(roster_map[name], lambda comp: comp.m >= 2):
+        for nf in _isos(roster_map[name], lambda comp: comp.m >= 2):
             with pytest.raises(AssertionError, match="multiplicativity"):
-                _verify_component_iso(iso)
-            _verify_normal_form(iso.normal_form)  # no grids in this step
+                _verify_component_iso(nf)
+            _verify_normal_form(nf)  # no grids in this step
             with pytest.raises(VerificationError, match="multiplicativity"):
-                _verify_block_type(iso.standard, iso.matrix)
+                _verify_block_type(*_block(nf))
 
 
 # The |Gamma|^2 pair scan the per-arrow check replaced, kept as the
@@ -393,18 +439,17 @@ def test_orthogonality_rejects_a_split_component(roster_map, monkeypatch):
 
 
 def test_decompose_over_differences_gives_same_table(roster_map):
+    # the block table holds no scalars; the check passes over every scalar
+    # choice of the command line and counts the same components
     for name in ("Z3", "V4"):
-        plain = decompose(roster_map[name])
-        delta = decompose(roster_map[name], scalars=delta_of(QNN))
-        assert [b.to_json() for b in delta.blocks] == [
-            b.to_json() for b in plain.blocks]
-        assert delta.scalars_name == "qnn-delta"
-        assert plain.components_verified is None
-        assert delta.components_verified is not None
+        gamma = Gamma(roster_map[name])
+        counts = {verify_component_isomorphisms(gamma, S)
+                  for S in (QNN, NAT, delta_of(QNN))}
+        assert counts == {len(connected_components(gamma))}
 
 
 def test_decomposition_report_is_json_ready(roster_map):
-    report = decomposition_report(roster_map["S3"], scalars=QNN)
+    report = decomposition_report(roster_map["S3"])
     assert set(report) == {"group", "gamma_size", "blocks", "audit",
                            "recursion_diff"}
     assert report["audit"]["ok"] is True
@@ -440,6 +485,21 @@ def test_report_work_is_bounded(monkeypatch):
     decomposition_report(make_group("dihedral:8"))
     assert calls["translate"] == 33_944
     assert calls["enumerate"] == 1
+
+
+def test_enumeration_holds_one_component_at_a_time():
+    # the walk keeps one byte per mask and the orbit in hand; holding every
+    # component's vertices peaked at 570 KB here, 35 times those bytes
+    G = make_group("cyclic:14")
+    multiplicity_enumeration(G)  # builds the group's cached tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        multiplicity_enumeration(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << G.order, peak
 
 
 def test_order_bound_is_enforced():
