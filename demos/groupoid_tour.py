@@ -8,7 +8,7 @@ klein4.
 
 import sys
 
-from pargroupoid import Gamma, connected_components, make_group
+from pargroupoid import Gamma, make_group, unit_components
 
 
 def main() -> None:
@@ -34,10 +34,10 @@ def main() -> None:
     print(f"\ndefined products: {defined} of {gamma.size ** 2} pairs")
 
     print("\ncomponents of the unit graph:")
-    for comp in connected_components(gamma):
-        print(f"  base {G.subset_repr(comp.base_vertex)}: "
-              f"{len(comp.vertices)} vertices, isotropy of order "
-              f"{comp.isotropy.order}")
+    for vertices, isotropy in unit_components(G):
+        print(f"  base {G.subset_repr(vertices[0])}: "
+              f"{len(vertices)} vertices, isotropy of order "
+              f"{isotropy.order}")
 
 
 if __name__ == "__main__":

@@ -25,14 +25,12 @@ from .group import (
     subgroups,
 )
 from .groupoid import (
-    ComponentReport,
     Gamma,
     GammaElement,
     StandardElement,
     StandardGroupoid,
     VerificationError,
-    component_normal_form,
-    connected_components,
+    unit_components,
 )
 from .partial_rep import (
     AxiomCheck,

@@ -82,6 +82,10 @@ from .structure import (
 SCALAR_CHOICES = ("qnn", "nat", "qnn-delta")
 SUITE_ORDER = ("laws", "assoc", "partialrep", "extension", "tensor", "delta",
                "structure")
+# The internal-error line of a bare MemoryError, made before memory can run
+# out: when printing the line itself raises MemoryError, these bytes go to
+# fd 2 directly, so the run still exits 4 and not as a counterexample.
+_MEMORY_ERROR_LINE = b"internal error: MemoryError: \n"
 
 
 def _scalar(name: str) -> SemiringSpec:
@@ -537,8 +541,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        detail = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        try:
+            detail = " ".join(str(exc).split())
+            print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        except MemoryError:
+            os.write(2, _MEMORY_ERROR_LINE)
         return 4
 
 

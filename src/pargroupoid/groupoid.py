@@ -3,18 +3,19 @@
 Elements are pairs (I, g) where I is a subset of G containing both the
 identity and g^-1. The partial product (I, g) * (J, h) is defined exactly when
 I = h*J and then equals (J, g*h); units are the pairs (I, e). Connectivity of
-the unit graph, isotropy, and the normal form onto the standard groupoid of
-triples (h, i, j) over the isotropy group are computed here.
+the unit graph and isotropy are computed here, along with the standard
+groupoid of triples (h, i, j) over a group.
 
 The component of a unit I is the translation orbit {x^-1 * I : x in I}, so
-one finder, `unit_components`, serves both the groupoid's component reports
-and the mask-level block table in `structure`.
+one finder, `unit_components`, serves the block table and the component
+checks in `structure`, which map each component onto the triples over its
+isotropy in integer positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Iterator
@@ -27,7 +28,6 @@ from .group import (
     _sums_over_masks_with_e,
     indices_of_mask,
     mask_from_indices,
-    subgroup_as_group,
 )
 
 
@@ -144,11 +144,6 @@ class Gamma:
         lo = self.start[mask >> 1]
         return self.gs[lo:lo + mask.bit_count()]
 
-    def arrows_at(self, mask: int) -> tuple[GammaElement, ...]:
-        """The arrows with source I, ascending in g; I must contain e."""
-        lo = self.start[mask >> 1]
-        return self.elements[lo:lo + mask.bit_count()]
-
     def element(self, mask: int, g: int) -> GammaElement:
         """The validated pair (I, g); raises when it is not in the groupoid."""
         n = self.group.order
@@ -228,53 +223,6 @@ def unit_components(G: FiniteGroup) -> Iterator[tuple[tuple[int, ...], Subgroup]
         yield vertices, isotropy
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    """One connected component of the unit graph.
-
-    Vertices are the subset masks of the units, ascending; the base vertex is
-    the least mask. chosen_arrows[i] is one arrow base -> vertices[i] (the one
-    with the least group element), so chosen_arrows[0] is the unit at the base.
-    """
-
-    gamma: Gamma
-    vertices: tuple[int, ...]
-    isotropy: Subgroup
-    chosen_arrows: tuple[GammaElement, ...]
-
-    @property
-    def base_vertex(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def m(self) -> int:
-        return len(self.vertices)
-
-    def vertex_number(self, mask: int) -> int:
-        """1-based position of a vertex, matching standard-groupoid indices."""
-        return self.vertices.index(mask) + 1
-
-
-def connected_components(gamma: Gamma) -> list[ComponentReport]:
-    """Components of the unit graph, sorted by base vertex mask.
-
-    The components are the translation orbits found by `unit_components`;
-    each report adds one chosen arrow per vertex.
-    """
-    G = gamma.group
-    reports = []
-    for vertices, isotropy in unit_components(G):
-        base = vertices[0]
-        # g*base contains e only when g^-1 is in base, so these g are the
-        # only candidates; ascending order keeps the least one per vertex.
-        least: dict[int, int] = {}
-        for g in sorted(G.inverse(x) for x in indices_of_mask(base)):
-            least.setdefault(G.left_translate(g, base), g)
-        arrows = tuple(GammaElement(base, least[v]) for v in vertices)
-        reports.append(ComponentReport(gamma, vertices, isotropy, arrows))
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # The standard groupoid of triples over a group.
 
@@ -312,55 +260,3 @@ class StandardGroupoid:
 
     def units(self) -> list[StandardElement]:
         return [StandardElement(0, i, i) for i in range(1, self.m + 1)]
-
-
-@dataclass(frozen=True)
-class ComponentIsomorphism:
-    """Normal form of a component onto the standard groupoid of its isotropy.
-
-    The isotropy subgroup is re-indexed as a standalone group H; iso_elements
-    maps H's indices back to ambient group indices. An arrow x_j -> x_i with
-    group element g maps to the triple (g_i^-1 * g * g_j, i, j) where the g_i
-    are the chosen arrows' group elements.
-    """
-
-    component: ComponentReport
-    standard: StandardGroupoid
-    iso_elements: tuple[int, ...]
-
-    def to_standard(self, x: GammaElement) -> StandardElement:
-        comp = self.component
-        G = comp.gamma.group
-        j = comp.vertex_number(x.mask)
-        i = comp.vertex_number(G.left_translate(x.g, x.mask))
-        gi = comp.chosen_arrows[i - 1].g
-        gj = comp.chosen_arrows[j - 1].g
-        h_ambient = G.mul(G.inverse(gi), G.mul(x.g, gj))
-        return StandardElement(self._to_iso[h_ambient], i, j)
-
-    def from_standard(self, s: StandardElement) -> GammaElement:
-        comp = self.component
-        G = comp.gamma.group
-        gi = comp.chosen_arrows[s.i - 1].g
-        gj = comp.chosen_arrows[s.j - 1].g
-        g = G.mul(gi, G.mul(self.iso_elements[s.h], G.inverse(gj)))
-        return GammaElement(comp.vertices[s.j - 1], g)
-
-    @cached_property
-    def _to_iso(self) -> dict[int, int]:
-        return {x: i for i, x in enumerate(self.iso_elements)}
-
-    def arrows(self) -> list[GammaElement]:
-        """All arrows of the component, in the gamma's canonical order.
-
-        Vertices ascend and the arrows of one source ascend in g, so reading
-        them vertex by vertex keeps the (mask, g) order of the whole gamma.
-        """
-        comp = self.component
-        gamma = comp.gamma
-        return [x for v in comp.vertices for x in gamma.arrows_at(v)]
-
-
-def component_normal_form(comp: ComponentReport) -> ComponentIsomorphism:
-    H, elems = subgroup_as_group(comp.gamma.group, comp.isotropy)
-    return ComponentIsomorphism(comp, StandardGroupoid(H, comp.m), elems)

@@ -44,6 +44,12 @@ from .semialgebra import (
 from .semiring import DEFAULT_SEED, QNN, SemiringSpec, delta_of
 
 _RANK_PRIME = 2**31 - 1
+# The homomorphism check is exhaustive up to _PAIR_BUDGET basis pairs and
+# draws _SAMPLED_PAIRS seeded pairs above it; the span test that pins
+# uniqueness of the factorization runs up to order _SPAN_LIMIT.
+_PAIR_BUDGET = 2500
+_SAMPLED_PAIRS = 300
+_SPAN_LIMIT = 6
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +496,7 @@ class GammaHom:
     def is_unital(self) -> bool:
         return self.apply(self.domain.one()) == self.target.one()
 
-    def multiplicative_report(self, *, pair_budget: int = 2500, samples: int = 300,
-                              seed: int = DEFAULT_SEED) -> AxiomReport:
+    def multiplicative_report(self, *, seed: int = DEFAULT_SEED) -> AxiomReport:
         """Check image(x) image(y) = image(xy) on basis pairs, exhaustively
         when the pair count fits the budget and on seeded samples otherwise,
         plus on random linear combinations either way."""
@@ -505,20 +510,21 @@ class GammaHom:
             return self.images[i] * self.images[j] == expected
 
         size = dom.size
-        if size * size <= pair_budget:
+        if size * size <= _PAIR_BUDGET:
             pairs = ((i, j) for i in range(size) for j in range(size))
             note = f"exhaustive over {size * size} basis pairs"
         else:
             rng = Random(seed)
-            pairs = ((rng.randrange(size), rng.randrange(size)) for _ in range(samples))
-            note = f"sampled {samples} basis pairs, seed {seed:#x}"
+            pairs = ((rng.randrange(size), rng.randrange(size))
+                     for _ in range(_SAMPLED_PAIRS))
+            note = f"sampled {_SAMPLED_PAIRS} basis pairs, seed {seed:#x}"
         basis_w = next(((dom.describe_basis(i), dom.describe_basis(j))
                         for i, j in pairs if not basis_ok(i, j)), None)
         checks = [AxiomCheck("multiplicative_basis", basis_w is None, basis_w, note)]
 
         rng = Random(seed + 1)
         elem_w = None
-        rounds = max(1, samples // 10)
+        rounds = max(1, _SAMPLED_PAIRS // 10)
         for _ in range(rounds):
             x = dom.random_element(rng)
             y = dom.random_element(rng)
@@ -714,9 +720,7 @@ class FactorizationReport(AxiomReport):
 
 
 def verify_factorization(pi: PartialRepMap, pi_tilde: GammaHom, *,
-                         span_limit: int = 6, pair_budget: int = 2500,
-                         samples: int = 300, seed: int = DEFAULT_SEED
-                         ) -> FactorizationReport:
+                         seed: int = DEFAULT_SEED) -> FactorizationReport:
     """Confirm that the extension is the factorization it claims to be.
 
     Checks that the extension is unital, multiplicative (exhaustively or
@@ -729,8 +733,7 @@ def verify_factorization(pi: PartialRepMap, pi_tilde: GammaHom, *,
             "the homomorphism's target is not the representation's algebra")
     G = pi.group
     checks = [AxiomCheck("unital", pi_tilde.is_unital())]
-    hom = pi_tilde.multiplicative_report(pair_budget=pair_budget, samples=samples,
-                                         seed=seed)
+    hom = pi_tilde.multiplicative_report(seed=seed)
     checks.extend(hom.checks)
 
     lam = lambda_p(pi_tilde.domain)
@@ -739,7 +742,7 @@ def verify_factorization(pi: PartialRepMap, pi_tilde: GammaHom, *,
     checks.append(AxiomCheck("factors_through_canonical", fact_w is None, fact_w))
 
     span = None
-    if G.order <= span_limit:
+    if G.order <= _SPAN_LIMIT:
         span = span_generation(pi_tilde.domain)
         checks.append(AxiomCheck(
             "uniqueness_span", span.complete,

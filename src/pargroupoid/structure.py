@@ -38,16 +38,17 @@ from .group import (
     _check_bound,
     conjugacy_classes_of_subgroups,
     generating_set,
+    indices_of_mask,
     stabilizer_of_subset,
+    subgroup_as_group,
     subgroups,
 )
 from .groupoid import (
-    ComponentIsomorphism,
     Gamma,
     GammaElement,
+    StandardElement,
+    StandardGroupoid,
     VerificationError,
-    component_normal_form,
-    connected_components,
     unit_components,
 )
 from .semialgebra import (
@@ -243,52 +244,108 @@ def recursion_diff(G: FiniteGroup, bound: int | None = None,
 # ---------------------------------------------------------------------------
 # Per-component matrix isomorphisms.
 
-def _verify_normal_form(nf: ComponentIsomorphism) -> None:
-    """Check that the normal form is a groupoid isomorphism, in integers.
+def _chosen_arrows(G: FiniteGroup, vertices: tuple[int, ...]) -> list[int]:
+    """g_i for each vertex v_i: the least g with g * base = v_i.
 
-    The arrows, read vertex by vertex, must number m^2 |H| and map into the
-    triples with from_standard as a left inverse; the map is then injective
-    and so a bijection. Each arrow's source vertex number must be its
-    triple's j, and its range vertex number the triple's i. Products are
-    checked on composable pairs only: for each y, every x whose source is the
-    range of y, m^3 |H|^2 pairs in all. Any other pair has source(x) !=
-    range(y), and as the map keeps sources and ranges its triples do not
-    compose either.
+    g * base contains e only when g^-1 is in base, so the |base| translates
+    of the base are the only candidates; ascending order keeps the least one
+    per vertex, and g_0 = e.
     """
-    comp = nf.component
-    gamma = comp.gamma
-    std = nf.standard
-    arrows = nf.arrows()
-    if len(arrows) != std.size:
+    base = vertices[0]
+    least: dict[int, int] = {}
+    for g in sorted(G.inv[x] for x in indices_of_mask(base)):
+        least.setdefault(G.left_translate(g, base), g)
+    return [least[v] for v in vertices]
+
+
+def _normal_form(gamma: Gamma, vertices: tuple[int, ...],
+                 iso_elements: tuple[int, ...], chosen: list[int]) -> list[int | None]:
+    """The normal form of a component as one int per arrow, None outside H.
+
+    Arrows are read vertex by vertex, ascending in g, which is the gamma's
+    own order. The arrow (v_j, g) with g * v_j = v_i goes to the triple
+    (h, i, j) with h = g_i^-1 * g * g_j re-indexed in H (iso_elements[h] is
+    its ambient index), written as its basis position (h m + i) m + j in the
+    triple algebra, with i and j 0-based.
+    """
+    G = gamma.group
+    m = len(vertices)
+    mul, inv, translate = G.cayley, G.inv, G.left_translate
+    to_iso: list[int | None] = [None] * G.order
+    for k, x in enumerate(iso_elements):
+        to_iso[x] = k
+    number = {v: i for i, v in enumerate(vertices)}
+    images: list[int | None] = []
+    for j, v in enumerate(vertices):
+        gj = chosen[j]
+        for g in gamma.gs_at(v):
+            i = number[translate(g, v)]
+            h = to_iso[mul[inv[chosen[i]]][mul[g][gj]]]
+            images.append(None if h is None else (h * m + i) * m + j)
+    return images
+
+
+def _verify_normal_form(gamma: Gamma, vertices: tuple[int, ...], H: FiniteGroup,
+                        images: list[int | None]) -> None:
+    """Check that a component's normal form is a groupoid isomorphism.
+
+    images is `_normal_form`'s list: one basis position (h m + i) m + j of
+    the triples over H on m points per arrow, in the component's arrow
+    order. There must be m^2 |H| of them, each a triple, each arrow's source
+    vertex number must be its triple's j and its range vertex number the
+    triple's i, and no two may be equal: with the right count the map is
+    then a bijection. Products are checked on composable pairs only: for
+    each y, every x whose source is the range of y, m^3 |H|^2 pairs in all.
+    Any other pair has source(x) != range(y), and as the map keeps sources
+    and ranges its triples do not compose either. Every vertex has |base|
+    arrows, so (v_j, g) sits at j |base| + |v_j & below[g]| in the list.
+    """
+    G = gamma.group
+    m = len(vertices)
+    mm = m * m
+    size = mm * H.order
+    if len(images) != size:
         raise VerificationError(
-            f"component at {gamma.group.subset_repr(comp.base_vertex)}: "
-            f"{len(arrows)} arrows vs {std.size} triples")
-    number = {v: k for k, v in enumerate(comp.vertices, start=1)}
-    triples = set(std.elements)
-    image = {}
-    for x in arrows:
-        try:
-            s = nf.to_standard(x)
-        except KeyError:
+            f"component at {G.subset_repr(vertices[0])}: "
+            f"{len(images)} arrows vs {size} triples")
+    width = vertices[0].bit_count()
+    rows = [gamma.gs_at(v) for v in vertices]
+    number = {v: k for k, v in enumerate(vertices)}
+    translate = G.left_translate
+
+    def arrow(v: int, g: int) -> str:
+        return gamma.describe(GammaElement(v, g))
+
+    seen = bytearray(size)
+    for k, t in enumerate(images):
+        j, r = divmod(k, width)
+        v, g = vertices[j], rows[j][r]
+        if t is None:
             raise VerificationError(
-                f"normal form sends {gamma.describe(x)} outside the isotropy") from None
-        if s not in triples:
+                f"normal form sends {arrow(v, g)} outside the isotropy")
+        if not 0 <= t < size:
+            s = StandardElement(t // mm, t // m % m + 1, t % m + 1)
             raise VerificationError(
-                f"normal form sends {gamma.describe(x)} to {s}, not a triple")
-        if number[x.mask] != s.j or number.get(gamma.range_of(x).mask) != s.i:
+                f"normal form sends {arrow(v, g)} to {s}, not a triple")
+        if t % m != j or number.get(translate(g, v)) != t // m % m:
             raise VerificationError(
-                f"normal form moves the source or range of {gamma.describe(x)}")
-        if nf.from_standard(s) != x:
-            raise VerificationError(f"normal form round trip fails at {gamma.describe(x)}")
-        image[x] = s
-    for y in arrows:
-        sy = image[y]
-        for x in gamma.arrows_at(gamma.range_of(y).mask):
-            p = gamma.product(x, y)
-            if p is None or std.product(image[x], sy) != image.get(p):
+                f"normal form moves the source or range of {arrow(v, g)}")
+        if seen[t]:
+            raise VerificationError(f"normal form repeats a triple at {arrow(v, g)}")
+        seen[t] = 1
+    gmul, hmul, below = G.cayley, H.cayley, gamma.below
+    hs = [t // mm for t in images]
+    ranges = [t // m % m for t in images]
+    for ky, (hy, iy) in enumerate(zip(hs, ranges)):
+        jy, r = divmod(ky, width)
+        vy, gy = vertices[jy], rows[jy][r]
+        lo = iy * width
+        for kx, gx in enumerate(rows[iy], lo):
+            kp = jy * width + (vy & below[gmul[gx][gy]]).bit_count()
+            if images[kp] != (hmul[hs[kx]][hy] * m + ranges[kx]) * m + jy:
                 raise VerificationError(
                     f"normal form fails multiplicativity at "
-                    f"{gamma.describe(x)} * {gamma.describe(y)}")
+                    f"{arrow(vertices[iy], gx)} * {arrow(vy, gy)}")
 
 
 def _verify_block_type(standard: StandardAlgebra, matrix: MatrixAlgebra) -> None:
@@ -330,17 +387,21 @@ def verify_component_isomorphisms(gamma: Gamma, scalars: SemiringSpec) -> int:
     triple algebra and one matrix algebra and is checked once. The first
     failure raises VerificationError.
     """
-    comps = connected_components(gamma)
+    G = gamma.group
+    count = 0
     checked: set = set()
-    for comp in comps:
-        nf = component_normal_form(comp)
-        _verify_normal_form(nf)
-        key = (comp.m, nf.standard.H.cayley)
+    for vertices, isotropy in unit_components(G):
+        H, elems = subgroup_as_group(G, isotropy)
+        _verify_normal_form(gamma, vertices, H, _normal_form(
+            gamma, vertices, elems, _chosen_arrows(G, vertices)))
+        m = len(vertices)
+        key = (m, H.cayley)
         if key not in checked:
-            standard = StandardAlgebra(nf.standard, scalars)
+            standard = StandardAlgebra(StandardGroupoid(H, m), scalars)
             _verify_block_type(standard, matrix_algebra_for(standard))
             checked.add(key)
-    return len(comps)
+        count += 1
+    return count
 
 
 def cross_component_orthogonality(gamma: Gamma) -> tuple[bool, tuple | None]:
@@ -351,8 +412,8 @@ def cross_component_orthogonality(gamma: Gamma) -> tuple[bool, tuple | None]:
     failure is witnessed by the pair (the unit at the range of y, y).
     """
     comp_of: dict[int, int] = {}
-    for idx, comp in enumerate(connected_components(gamma)):
-        for v in comp.vertices:
+    for idx, (vertices, _) in enumerate(unit_components(gamma.group)):
+        for v in vertices:
             comp_of[v] = idx
     translate = gamma.group.left_translate
     for mask, g in zip(gamma.masks, gamma.gs):

@@ -355,6 +355,21 @@ def test_internal_error_exits_4_not_as_a_counterexample(capsys, monkeypatch,
     assert err == "internal error: AssertionError: kernel bug second line\n"
 
 
+def test_memory_error_while_reporting_still_exits_4(capfd, monkeypatch):
+    # under an address cap the handler's own print can run out of memory;
+    # the line then goes to fd 2 as bytes made at import, and the exit code
+    # stays 4 rather than escaping as 1, the counterexample code
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "decompose", exhausted)
+    monkeypatch.setattr(sys.stderr, "write", exhausted)
+    code = run(["decompose", "--group", "cyclic:3"])
+    monkeypatch.undo()
+    assert code == 4
+    assert capfd.readouterr().err == "internal error: MemoryError: \n"
+
+
 def test_verification_error_exits_1(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise VerificationError("matrix images fail multiplicativity")

@@ -9,12 +9,14 @@ from groups_util import (
     bit_loop_translate,
     build_roster,
     order_16_roster,
+    q8,
 )
 from pargroupoid.group import (
     GroupOrderBoundError,
     indices_of_mask,
     make_group,
     mask_from_indices,
+    subgroup_as_group,
 )
 from pargroupoid.groupoid import (
     Gamma,
@@ -22,10 +24,9 @@ from pargroupoid.groupoid import (
     StandardElement,
     StandardGroupoid,
     arrow_rows,
-    component_normal_form,
-    connected_components,
     unit_components,
 )
+from pargroupoid.structure import _chosen_arrows, _normal_form
 
 SMALL = [item for item in build_roster() if item[1].order <= 6]
 
@@ -113,26 +114,26 @@ def test_units_are_identity_arrows():
 
 @pytest.mark.parametrize("name,G", SMALL)
 def test_components_partition_vertices(name, G):
-    gamma = Gamma(G)
-    comps = connected_components(gamma)
-    seen = [v for comp in comps for v in comp.vertices]
+    comps = list(unit_components(G))
+    seen = [v for vertices, _ in comps for v in vertices]
     assert sorted(seen) == list(range(1, 1 << G.order, 2))
-    for comp in comps:
-        assert comp.base_vertex == min(comp.vertices)
-        assert comp.m == len(comp.vertices)
-        assert comp.m * comp.isotropy.order == comp.base_vertex.bit_count()
-        # chosen arrows carry the base to each vertex
-        for v, arrow in zip(comp.vertices, comp.chosen_arrows):
-            assert arrow.mask == comp.base_vertex
-            assert G.left_translate(arrow.g, comp.base_vertex) == v
+    for vertices, isotropy in comps:
+        base = vertices[0]
+        assert base == min(vertices)
+        assert len(vertices) * isotropy.order == base.bit_count()
+        # chosen arrows carry the base to each vertex, the unit to the base
+        chosen = _chosen_arrows(G, vertices)
+        assert chosen[0] == 0
+        for v, g in zip(vertices, chosen):
+            assert base >> G.inverse(g) & 1
+            assert G.left_translate(g, base) == v
 
 
 def test_component_vertices_are_one_orbit():
     G = make_group("sym:3")
-    gamma = Gamma(G)
-    for comp in connected_components(gamma):
-        orbit = {comp.base_vertex}
-        frontier = [comp.base_vertex]
+    for vertices, _ in unit_components(G):
+        orbit = {vertices[0]}
+        frontier = [vertices[0]]
         while frontier:
             mask = frontier.pop()
             for i in indices_of_mask(mask):
@@ -140,7 +141,7 @@ def test_component_vertices_are_one_orbit():
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
-        assert orbit == set(comp.vertices)
+        assert orbit == set(vertices)
 
 
 class _UnionFind:
@@ -188,19 +189,23 @@ def test_unit_components_match_union_find_oracle(name, G):
 
 @pytest.mark.parametrize("name,G", build_roster())
 def test_connected_components_match_union_find_oracle(name, G):
+    # the least g from the base to each vertex v_i, found by brute force, is
+    # the chosen arrow and has the normal form (e, i, 0)
     gamma = Gamma(G)
-    expected = []
-    for vertices in _union_find_components(G):
+    comps = list(unit_components(G))
+    assert [vertices for vertices, _ in comps] == _union_find_components(G)
+    for vertices, isotropy in comps:
         base = vertices[0]
-        stab = mask_from_indices(
-            g for g in G.elements() if bit_loop_translate(G, g, base) == base)
-        arrows = tuple(
-            GammaElement(base, next(g for g in G.elements()
-                                    if bit_loop_translate(G, g, base) == v))
-            for v in vertices)
-        expected.append((vertices, stab, arrows))
-    assert [(c.vertices, c.isotropy.mask, c.chosen_arrows)
-            for c in connected_components(gamma)] == expected
+        least = [next(g for g in G.elements() if bit_loop_translate(G, g, base) == v)
+                 for v in vertices]
+        chosen = _chosen_arrows(G, vertices)
+        assert chosen == least
+        m = len(vertices)
+        images = _normal_form(gamma, vertices, subgroup_as_group(G, isotropy)[1],
+                              chosen)
+        for i, g in enumerate(least):
+            # (base, g) is arrow |base & below[g]| of vertex 0
+            assert images[(base & gamma.below[g]).bit_count()] == (0 * m + i) * m + 0
 
 
 def test_standard_groupoid_products():
@@ -215,28 +220,33 @@ def test_standard_groupoid_products():
 
 
 @pytest.mark.parametrize("name,G", [("V4", make_group("klein4")),
-                                    ("S3", make_group("sym:3"))])
+                                    ("S3", make_group("sym:3")),
+                                    ("D4", make_group("dihedral:4")),
+                                    ("Q8", q8())])
 def test_normal_form_is_a_groupoid_isomorphism(name, G):
+    # the integer normal form against the object-level products of both
+    # groupoids, on every arrow pair of each component, composable or not
     gamma = Gamma(G)
-    for comp in connected_components(gamma):
-        nf = component_normal_form(comp)
-        arrows = nf.arrows()
-        assert len(arrows) == comp.m * comp.m * comp.isotropy.order
-        images = {}
-        for x in arrows:
-            s = nf.to_standard(x)
-            assert nf.from_standard(s) == x
-            images[x] = s
-        assert len(set(images.values())) == len(arrows)
-        # multiplicative on every pair, undefined exactly together
+    for vertices, isotropy in unit_components(G):
+        H, elems = subgroup_as_group(G, isotropy)
+        std = StandardGroupoid(H, len(vertices))
+        images = _normal_form(gamma, vertices, elems, _chosen_arrows(G, vertices))
+        arrows = [GammaElement(v, g) for v in vertices for g in gamma.gs_at(v)]
+        assert len(arrows) == len(images) == std.size
+        assert sorted(images) == list(range(std.size))
+        # basis position t is the triple std.elements[t], 1-based in i and j
+        image = {x: std.elements[t] for x, t in zip(arrows, images)}
+        for x, s in image.items():
+            assert vertices[s.j - 1] == x.mask
+            assert vertices[s.i - 1] == gamma.range_of(x).mask
         for x in arrows:
             for y in arrows:
-                p = comp.gamma.product(x, y)
-                q = nf.standard.product(images[x], images[y])
+                p = gamma.product(x, y)
+                q = std.product(image[x], image[y])
                 if p is None:
                     assert q is None
                 else:
-                    assert q == images[p]
+                    assert q == image[p]
 
 
 # The per-arrow dict the closed-form position replaced, rebuilt by brute force
@@ -279,8 +289,8 @@ def test_position_matches_enumerate_index(name, G):
     for el, i in index.items():
         assert gamma.position(el.mask, el.g) == i
     assert gamma.unit_indices == tuple(i for el, i in index.items() if el.g == 0)
-    assert tuple(el for mask in range(1, 1 << G.order, 2)
-                 for el in gamma.arrows_at(mask)) == arrows
+    assert tuple(GammaElement(mask, g) for mask in range(1, 1 << G.order, 2)
+                 for g in gamma.gs_at(mask)) == arrows
     # the view indexes, slices and raises IndexError as the tuple does
     view = gamma.elements
     size = len(arrows)
