@@ -22,13 +22,15 @@ import json
 import os
 import random
 import sys
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .group import (
+    DEFAULT_SEED,
     FiniteGroup,
     GroupOrderBoundError,
     GroupSpecError,
     GroupTableError,
+    PartialActionFormatError,
     _byte_tables,
     _check_bound,
     _sums_over_masks_with_e,
@@ -37,47 +39,13 @@ from .group import (
     subgroup_as_group,
 )
 from .groupoid import Gamma, StandardGroupoid, VerificationError, arrow_rows
-from .partial_rep import (
-    AxiomReport,
-    ExtensionMembershipError,
-    PartialActionFormatError,
-    extend_to_gamma_hom,
-    lambda_p,
-    partial_action_from_json,
-    regular_representation,
-    verify_factorization,
-    verify_kpar_relations,
-    verify_partial_action,
-)
-from .semialgebra import (
-    AlgebraElement,
-    DeltaPair,
-    GammaAlgebra,
-    StandardAlgebra,
-    delta_extension,
-    delta_extension_inverse,
-    matrix_algebra_for,
-    standard_to_matrix,
-    tensor_phi,
-    tensor_varphi,
-)
-from .semiring import (
-    DEFAULT_SEED,
-    NAT,
-    QNN,
-    SemiringSpec,
-    check_semiring_laws,
-    delta_of,
-)
-from .structure import (
-    coset_count_identity,
-    decompose,
-    decomposition_report,
-    recursion_diff,
-    stabilizer_census,
-    verify_component_isomorphisms,
-    vertex_count_identity,
-)
+
+# The algebra layers (semiring, semialgebra, partial_rep) and structure are
+# imported inside the commands and suites that run them: without a bytecode
+# cache every module loaded is compiled again, and `gamma` needs none of them.
+if TYPE_CHECKING:
+    from .partial_rep import AxiomReport
+    from .semiring import SemiringSpec
 
 SCALAR_CHOICES = ("qnn", "nat", "qnn-delta")
 SUITE_ORDER = ("laws", "assoc", "partialrep", "extension", "tensor", "delta",
@@ -89,6 +57,8 @@ _MEMORY_ERROR_LINE = b"internal error: MemoryError: \n"
 
 
 def _scalar(name: str) -> SemiringSpec:
+    from .semiring import NAT, QNN, delta_of
+
     if name == "qnn":
         return QNN
     if name == "nat":
@@ -147,6 +117,8 @@ def _axiom_checks(report: AxiomReport) -> list[dict]:
 
 def _suite_laws(G: FiniteGroup, S: SemiringSpec, seed: int,
                 bound: int | None) -> list[dict]:
+    from .semiring import check_semiring_laws
+
     report = check_semiring_laws(S, seed=seed)
     claimed = {"additively_cancellative": S.claims_additively_cancellative,
                "semifield": S.claims_semifield}
@@ -166,6 +138,8 @@ def _suite_laws(G: FiniteGroup, S: SemiringSpec, seed: int,
 
 def _suite_assoc(G: FiniteGroup, S: SemiringSpec, seed: int,
                  bound: int | None) -> list[dict]:
+    from .semialgebra import GammaAlgebra
+
     alg = GammaAlgebra(Gamma(G, bound), S)
     n = alg.size
     basis = [alg.basis_element(b) for b in alg.basis]
@@ -191,11 +165,22 @@ def _suite_assoc(G: FiniteGroup, S: SemiringSpec, seed: int,
 
 def _suite_partialrep(G: FiniteGroup, S: SemiringSpec, seed: int,
                       bound: int | None) -> list[dict]:
+    from .partial_rep import verify_kpar_relations
+
     return _axiom_checks(verify_kpar_relations(G, S, bound=bound))
 
 
 def _suite_extension(G: FiniteGroup, S: SemiringSpec, seed: int,
                      bound: int | None) -> list[dict]:
+    from .partial_rep import (
+        ExtensionMembershipError,
+        extend_to_gamma_hom,
+        lambda_p,
+        regular_representation,
+        verify_factorization,
+    )
+    from .semialgebra import AlgebraElement, GammaAlgebra
+
     alg = GammaAlgebra(Gamma(G, bound), S)
     lam = lambda_p(alg)
     try:
@@ -224,6 +209,15 @@ def _suite_extension(G: FiniteGroup, S: SemiringSpec, seed: int,
 
 def _suite_tensor(G: FiniteGroup, S: SemiringSpec, seed: int,
                   bound: int | None) -> list[dict]:
+    from .semialgebra import (
+        StandardAlgebra,
+        matrix_algebra_for,
+        standard_to_matrix,
+        tensor_phi,
+        tensor_varphi,
+    )
+    from .structure import decompose
+
     summary = decompose(G, bound=bound)
     rng = random.Random(seed)
     pool = S.values(12, seed)
@@ -266,6 +260,14 @@ def _dot(S: SemiringSpec, row: list, col: list):
 
 def _suite_delta(G: FiniteGroup, S: SemiringSpec, seed: int,
                  bound: int | None) -> list[dict]:
+    from .semialgebra import (
+        DeltaPair,
+        GammaAlgebra,
+        delta_extension,
+        delta_extension_inverse,
+    )
+    from .semiring import delta_of
+
     base_alg = GammaAlgebra(Gamma(G, bound), S)
     dalg = base_alg.with_scalars(delta_of(S))
     rng = random.Random(seed)
@@ -293,6 +295,15 @@ def _suite_delta(G: FiniteGroup, S: SemiringSpec, seed: int,
 
 def _suite_structure(G: FiniteGroup, S: SemiringSpec, seed: int,
                      bound: int | None) -> list[dict]:
+    from .structure import (
+        coset_count_identity,
+        decompose,
+        recursion_diff,
+        stabilizer_census,
+        verify_component_isomorphisms,
+        vertex_count_identity,
+    )
+
     summary = decompose(G, bound)
     try:
         verified = verify_component_isomorphisms(Gamma(G, bound), S)
@@ -383,6 +394,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .structure import decomposition_report, verify_component_isomorphisms
+
     G = make_group(args.group)
     bound = _resolve_bound(args)
     doc = decomposition_report(G, bound)
@@ -446,6 +459,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_action_check(args) -> int:
+    from .partial_rep import partial_action_from_json, verify_partial_action
+
     doc_in = read_json(args.file, PartialActionFormatError)
     group = make_group(args.group) if args.group else None
     pa = partial_action_from_json(doc_in, group=group)

@@ -24,6 +24,10 @@ from typing import Iterable, Iterator, Sequence
 # Orders above this make full subset enumeration infeasible on a desk machine.
 DEFAULT_ORDER_BOUND = 16
 
+# The seed of every sampled check unless one is given; it lives in this base
+# module so that the command line can offer it without loading the scalars.
+DEFAULT_SEED = 0xC0FFEE
+
 # No bound lifts a subset walk past this order. It is the largest walk CI
 # runs (the 2^23 subsets of S4, about 15 s); at orders 30 and 40 a walk runs
 # out of memory instead of finishing.
@@ -51,6 +55,12 @@ class GroupSpecError(ValueError):
 
 class GroupOrderBoundError(ValueError):
     """The group is larger than the configured enumeration bound."""
+
+
+# Raised by partial_rep's reader; defined here, and re-exported there, so
+# that the command line catches it without loading the algebra layers.
+class PartialActionFormatError(ValueError):
+    """The description of a partial action is structurally malformed."""
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:

@@ -27,7 +27,13 @@ from fractions import Fraction
 from random import Random
 from typing import Any
 
-from .group import FiniteGroup, from_table, make_group
+from .group import (
+    DEFAULT_SEED,
+    FiniteGroup,
+    PartialActionFormatError,
+    from_table,
+    make_group,
+)
 from .groupoid import Gamma, GammaElement, VerificationError
 from .semialgebra import (
     AlgebraElement,
@@ -41,7 +47,7 @@ from .semialgebra import (
     matrix_from_delta,
     matrix_to_delta,
 )
-from .semiring import DEFAULT_SEED, QNN, SemiringSpec, delta_of
+from .semiring import QNN, SemiringSpec, delta_of
 
 _RANK_PRIME = 2**31 - 1
 # The homomorphism check is exhaustive up to _PAIR_BUDGET basis pairs and
@@ -90,10 +96,6 @@ class AxiomReport:
 
 # ---------------------------------------------------------------------------
 # Partial actions on finite sets.
-
-class PartialActionFormatError(ValueError):
-    """The description of a partial action is structurally malformed."""
-
 
 @dataclass
 class PartialAction:

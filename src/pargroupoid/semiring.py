@@ -22,7 +22,7 @@ from functools import cache
 from random import Random
 from typing import Any, Callable
 
-DEFAULT_SEED = 0xC0FFEE
+from .group import DEFAULT_SEED
 
 # Carriers at most this large are checked exhaustively instead of sampled.
 EXHAUSTIVE_CARRIER_LIMIT = 64
@@ -254,13 +254,16 @@ def _nonneg_int(s: str) -> int:
     return v
 
 
-#: Non-negative rationals, exact. A semifield.
+#: Non-negative rationals, exact. A semifield. The constants are the ints 0
+#: and 1, which mix exactly with Fractions, compare and hash equal to them and
+#: print alike, so 0/1 work such as the canonical partial representation stays
+#: in int arithmetic; a non-integral value anywhere still yields Fractions.
 QNN = SemiringSpec(
     name="qnn",
     add=operator.add,
     mul=operator.mul,
-    zero=Fraction(0),
-    one=Fraction(1),
+    zero=0,
+    one=1,
     eq=operator.eq,
     is_zero=operator.not_,
     claims_additively_cancellative=True,

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 from .group import (
     FiniteGroup,
@@ -51,13 +52,12 @@ from .groupoid import (
     VerificationError,
     unit_components,
 )
-from .semialgebra import (
-    MatrixAlgebra,
-    StandardAlgebra,
-    matrix_algebra_for,
-    standard_to_matrix,
-)
-from .semiring import SemiringSpec
+
+# Only the component check over scalars builds algebras, so `decompose` and
+# the enumerations load neither the algebras nor the scalars.
+if TYPE_CHECKING:
+    from .semialgebra import MatrixAlgebra, StandardAlgebra
+    from .semiring import SemiringSpec
 
 
 def gamma_size_from_subsets(G: FiniteGroup) -> int:
@@ -355,6 +355,8 @@ def _verify_block_type(standard: StandardAlgebra, matrix: MatrixAlgebra) -> None
     and compared with the image of the triple product, or with zero when the
     triples do not compose.
     """
+    from .semialgebra import standard_to_matrix
+
     groupoid = standard.groupoid
     basis = standard.basis
     mats = [standard_to_matrix(standard.basis_element(b), matrix) for b in basis]
@@ -387,6 +389,8 @@ def verify_component_isomorphisms(gamma: Gamma, scalars: SemiringSpec) -> int:
     triple algebra and one matrix algebra and is checked once. The first
     failure raises VerificationError.
     """
+    from .semialgebra import StandardAlgebra, matrix_algebra_for
+
     G = gamma.group
     count = 0
     checked: set = set()

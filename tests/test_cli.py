@@ -1,21 +1,24 @@
 """Command-line behavior: documents, byte stability, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pargroupoid
 from groups_util import build_roster, q8_doc
-from pargroupoid import cli, structure
+from pargroupoid import cli, semiring, structure
 from pargroupoid.cli import run
 from pargroupoid.group import FiniteGroup
 from pargroupoid.groupoid import VerificationError
+from pargroupoid.semiring import QNN
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -170,9 +173,9 @@ def test_structure_suite_enumerates_once(monkeypatch, capsys):
         calls["census"] += 1
         return census(*args, **kwargs)
 
+    # the suite imports both from structure when it runs
     monkeypatch.setattr(structure, "multiplicity_enumeration", counting_enumerate)
-    for module in (structure, cli):
-        monkeypatch.setattr(module, "stabilizer_census", counting_census)
+    monkeypatch.setattr(structure, "stabilizer_census", counting_census)
     code, doc, _ = _run_json(capsys, ["verify", "--suite", "structure",
                                       "--group", "dihedral:4"])
     assert code == 0 and doc["passed"]
@@ -387,12 +390,65 @@ def test_verification_error_exits_1(capsys, monkeypatch):
                               "multiplicativity\n")
 
 
-def test_importing_the_cli_does_not_load_numpy():
+# Imports pargroupoid.cli, runs argv (if any) with stdout discarded, and
+# prints the exit code and the sorted pargroupoid and numpy modules loaded.
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+import pargroupoid.cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pargroupoid.cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(
+    m for m in sys.modules if m.split(".")[0] in ("pargroupoid", "numpy"))]))
+"""
+
+
+def _loaded_modules(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code and modules loaded by a fresh interpreter running argv."""
     src = Path(pargroupoid.__file__).resolve().parents[1]
-    probe = "import sys, pargroupoid.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+    done = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    return code, modules
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    assert "numpy" not in _loaded_modules([])[1]
+
+
+# Every command loads the package, cli, group and groupoid; the rest are the
+# layers it runs. Without a bytecode cache each loaded module is compiled on
+# every start, so a module loaded here and not needed is start-up time lost.
+_BASE_MODULES = ("cli", "group", "groupoid")
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ([], ()),
+    (["gamma", "--group", "klein4"], ()),
+    (["decompose", "--group", "klein4"], ("structure",)),
+    (["decompose", "--group", "klein4", "--scalar", "qnn"],
+     ("semialgebra", "semiring", "structure")),
+    (["verify", "--group", "klein4", "--suite", "delta"],
+     ("semialgebra", "semiring")),
+    (["verify", "--group", "cyclic:2", "--suite", "all"],
+     ("partial_rep", "semialgebra", "semiring", "structure")),
+    (["action-check", "--file", "{action}"],
+     ("partial_rep", "semialgebra", "semiring")),
+], ids=["import", "gamma", "decompose", "decompose-scalar", "verify-delta",
+        "verify-all", "action-check"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({
+        "group": "cyclic:2", "X": 2, "domains": {"0": [0, 1], "1": [0, 1]},
+        "maps": {"0": [[0, 0], [1, 1]], "1": [[0, 1], [1, 0]]}}))
+    argv = [arg.replace("{action}", str(action)) for arg in argv]
+    code, modules = _loaded_modules(argv)
+    assert code == 0
+    assert modules == sorted(["pargroupoid"] + [
+        f"pargroupoid.{name}" for name in _BASE_MODULES + extra])
 
 
 # Runs argv with stdout to /dev/null and prints its exit code and ru_maxrss.
@@ -495,3 +551,43 @@ def test_action_check_group_override(tmp_path, capsys):
     code, out, _ = _run(capsys, ["action-check", "--file", str(path),
                                  "--group", "cyclic:1"])
     assert code == 0
+
+
+# QNN with the Fraction constants it had before they became the ints 0 and 1:
+# the test-only oracle of that change. Ints and Fractions mix exactly, compare
+# and hash equal and print alike, so no output may tell the two specs apart.
+QNN_FRACTIONS = dataclasses.replace(QNN, zero=Fraction(0), one=Fraction(1))
+
+
+def _fast_and_oracle(capsys, monkeypatch, argv):
+    fast = _run(capsys, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(semiring, "QNN", QNN_FRACTIONS)
+        oracle = _run(capsys, argv)
+    return fast, oracle
+
+
+@pytest.mark.parametrize("name", [name for name, _ in build_roster()])
+def test_int_constants_match_the_fraction_spec(tmp_path, capsys, monkeypatch, name):
+    # every suite but laws, which reads no group and is compared once below
+    G = dict(build_roster())[name]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"order": G.order, "table": G.cayley,
+                                "labels": [G.label(x) for x in G.elements()]}))
+    # the ring of differences over QNN is built from the same constants
+    scalars = ("qnn", "qnn-delta") if G.order <= 4 else ("qnn",)
+    for scalar in scalars:
+        for suite in cli.SUITE_ORDER[1:]:
+            argv = ["verify", "--group", f"table:{path}", "--suite", suite,
+                    "--scalar", scalar]
+            fast, oracle = _fast_and_oracle(capsys, monkeypatch, argv)
+            assert fast == oracle, argv
+            assert fast[0] == 0, fast[2]
+
+
+@pytest.mark.parametrize("scalar", ["qnn", "qnn-delta"])
+def test_int_constants_keep_the_measured_laws(capsys, monkeypatch, scalar):
+    argv = ["verify", "--group", "cyclic:1", "--suite", "laws", "--scalar", scalar]
+    fast, oracle = _fast_and_oracle(capsys, monkeypatch, argv)
+    assert fast == oracle
+    assert fast[0] == 0, fast[2]

@@ -276,10 +276,12 @@ def test_algebras_are_built_once_per_block_type(roster_map, monkeypatch):
             return build(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(structure, "StandardAlgebra",
-                        counting("standard", structure.StandardAlgebra))
-    monkeypatch.setattr(structure, "matrix_algebra_for",
-                        counting("matrix", structure.matrix_algebra_for))
+    # the check imports both when it runs, so they are patched where defined;
+    # the class is counted at its constructor, as isinstance must still see it
+    monkeypatch.setattr(semialgebra.StandardAlgebra, "__init__",
+                        counting("standard", semialgebra.StandardAlgebra.__init__))
+    monkeypatch.setattr(semialgebra, "matrix_algebra_for",
+                        counting("matrix", semialgebra.matrix_algebra_for))
     for name in ("S3", "D4", "Q8"):
         G = roster_map[name]
         built.update(standard=0, matrix=0)
