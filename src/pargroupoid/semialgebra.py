@@ -546,12 +546,15 @@ class MatrixElement:
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         self._check_same(other)
         entries = self.algebra.entries
-        convolve = entries.convolve
-        sadd = entries.scalars.add
-        is_zero = entries.scalars.is_zero
         right_rows: dict[int, list[tuple[int, AlgebraElement]]] = {}
         for (k, j), b in other.cells.items():
             right_rows.setdefault(k, []).append((j, b))
+        dot = entries.scalars.dot
+        if dot is not None:
+            return self._gathered_product(right_rows, dot)
+        convolve = entries.convolve
+        sadd = entries.scalars.add
+        is_zero = entries.scalars.is_zero
         # The left cells come in row-major order, so each cell (i, j) sums
         # over k in ascending order in one dict. It drops a product
         # coefficient or a partial sum the moment it is zero, as a * b and +
@@ -571,6 +574,32 @@ class MatrixElement:
                     acc[key] = c
         return MatrixElement(self.algebra, {pos: AlgebraElement(entries, acc)
                                             for pos, acc in sums.items()})
+
+    def _gathered_product(self, right_rows: dict[int, list[tuple[int, AlgebraElement]]],
+                          dot: Callable[[list[tuple[Any, Any]]], Any]) -> "MatrixElement":
+        # Each coefficient (i, j, h) gathers its (a, b) pairs in the order
+        # the per-term loop adds them: k ascending, then the left entry's
+        # keys, then the right entry's. Keys come in first-contribution
+        # order, as there. Scalars with dot have no zero divisors and no
+        # sums that cancel, so nothing the loop drops can arise here.
+        entries = self.algebra.entries
+        cayley = entries.group.cayley
+        terms: dict[tuple[int, int], dict[int, list[tuple[Any, Any]]]] = {}
+        for (i, k), a in self.cells.items():
+            for j, b in right_rows.get(k, ()):
+                cell = terms.setdefault((i, j), {})
+                right = b.coeffs.items()
+                for g, x in a.coeffs.items():
+                    row = cayley[g]
+                    for h, y in right:
+                        gh = row[h]
+                        if gh in cell:
+                            cell[gh].append((x, y))
+                        else:
+                            cell[gh] = [(x, y)]
+        return MatrixElement(self.algebra, {
+            pos: AlgebraElement(entries, {gh: dot(pairs) for gh, pairs in cell.items()})
+            for pos, cell in terms.items()})
 
     def scale(self, c) -> "MatrixElement":
         return MatrixElement(self.algebra, {pos: entry.scale(c)

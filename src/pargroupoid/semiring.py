@@ -19,8 +19,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .group import DEFAULT_SEED
 
@@ -56,7 +57,10 @@ class SemiringSpec:
     difference exists inside the carrier and None otherwise; `neg` exists only
     on rings of differences, whose base system is kept in `base`. `is_zero`
     must agree with `eq(x, zero)`, which is its default; a spec may give a
-    cheaper exact test, such as truthiness for numbers.
+    cheaper exact test, such as truthiness for numbers. `dot`, when given,
+    sums the products of (a, b) pairs and must return what the left fold
+    `add(...add(add(zero, mul(a0, b0)), mul(a1, b1))...)` returns, in value
+    and in type; sums of products may call it once instead of folding.
 
     Specs are singletons (QNN, NAT, BOOL and the cached `delta_of` of each),
     so they compare and hash by identity: algebras key their scalar variants
@@ -82,6 +86,7 @@ class SemiringSpec:
     parse: Callable[[str], Any] | None = field(default=None, repr=False)
     base: "SemiringSpec | None" = field(default=None, repr=False)
     is_zero: Callable[[Any], bool] | None = field(default=None, repr=False)
+    dot: Callable[[Iterable[tuple[Any, Any]]], Any] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.is_zero is None:
@@ -254,6 +259,32 @@ def _nonneg_int(s: str) -> int:
     return v
 
 
+def _rational_dot(pairs: Iterable[tuple[Any, Any]]):
+    """The exact sum of a * b over rational pairs, normalised once.
+
+    One int numerator and one int denominator, the least common multiple of
+    the product denominators so far, carry the sum; the Fraction is built at
+    the end. Ints stay ints: the sum is an int when every operand is one,
+    and a Fraction, integral or not, as soon as one operand is a Fraction,
+    exactly as the fold of `*` and `+` would give it.
+    """
+    num, den, ints = 0, 1, True
+    for a, b in pairs:
+        if a.__class__ is int and b.__class__ is int:
+            num += a * b * den
+            continue
+        ints = False
+        p = a.numerator * b.numerator
+        q = a.denominator * b.denominator
+        if q == den:
+            num += p
+        else:
+            g = gcd(den, q)
+            num = num * (q // g) + p * (den // g)
+            den = den // g * q
+    return num if ints else Fraction(num, den)
+
+
 #: Non-negative rationals, exact. A semifield. The constants are the ints 0
 #: and 1, which mix exactly with Fractions, compare and hash equal to them and
 #: print alike, so 0/1 work such as the canonical partial representation stays
@@ -274,6 +305,7 @@ QNN = SemiringSpec(
     sample=lambda rng: Fraction(rng.randrange(0, 240), rng.randrange(1, 24)),
     try_sub=lambda a, b: a - b if a >= b else None,
     parse=_nonneg_fraction,
+    dot=_rational_dot,
 )
 
 #: Natural numbers. Cancellative but not a semifield (2 has no inverse).

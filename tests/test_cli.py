@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 import pargroupoid
 from groups_util import build_roster, q8_doc
-from pargroupoid import cli, semiring, structure
+from pargroupoid import cli, semialgebra, semiring, structure
 from pargroupoid.cli import run
 from pargroupoid.group import FiniteGroup
 from pargroupoid.groupoid import VerificationError
@@ -244,6 +245,28 @@ def test_suite_runs_same_alone_or_in_all(capsys):
     assert [s["name"] for s in full["suites"]] == [
         "laws", "assoc", "partialrep", "extension", "tensor", "delta",
         "structure"]
+
+
+def test_delta_witness_is_the_first_failing_sample(monkeypatch, capsys):
+    real = semialgebra.delta_extension
+    calls = itertools.count()
+
+    def failing(x):
+        # five calls per sample (x, y, the pair, x * y, x + y); the image of
+        # x * y is replaced in samples 0 and 3
+        n = next(calls)
+        return object() if n in (0 * 5 + 3, 3 * 5 + 3) else real(x)
+
+    # the suite imports delta_extension from semialgebra when it runs
+    monkeypatch.setattr(semialgebra, "delta_extension", failing)
+    code, doc, _ = _run_json(capsys, ["verify", "--group", "cyclic:2",
+                                      "--suite", "delta"])
+    assert code == 1 and not doc["passed"]
+    by_name = {c["name"]: c for c in doc["suites"][0]["checks"]}
+    assert by_name["delta_multiplicative"]["witness"] == "0"
+    assert not by_name["delta_multiplicative"]["passed"]
+    for name in ("delta_round_trip", "delta_pair_round_trip", "delta_additive"):
+        assert by_name[name]["passed"] and "witness" not in by_name[name]
 
 
 def test_verify_partialrep_suite(capsys):
@@ -553,10 +576,11 @@ def test_action_check_group_override(tmp_path, capsys):
     assert code == 0
 
 
-# QNN with the Fraction constants it had before they became the ints 0 and 1:
-# the test-only oracle of that change. Ints and Fractions mix exactly, compare
+# QNN with the Fraction constants it had before they became the ints 0 and 1,
+# and without dot, so that its sums of products fold term by term: the
+# test-only oracle of both changes. Ints and Fractions mix exactly, compare
 # and hash equal and print alike, so no output may tell the two specs apart.
-QNN_FRACTIONS = dataclasses.replace(QNN, zero=Fraction(0), one=Fraction(1))
+QNN_FRACTIONS = dataclasses.replace(QNN, zero=Fraction(0), one=Fraction(1), dot=None)
 
 
 def _fast_and_oracle(capsys, monkeypatch, argv):

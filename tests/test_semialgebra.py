@@ -1,5 +1,6 @@
 """Free-basis semialgebras: convolution, matrices, tensors, differences."""
 
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +19,7 @@ from pargroupoid.semialgebra import (
     GammaAlgebra,
     GroupAlgebra,
     MatrixAlgebra,
+    MatrixElement,
     StandardAlgebra,
     delta_extension,
     delta_extension_inverse,
@@ -575,6 +577,66 @@ def test_fused_matrix_product_matches_oracle_in_order(scalars):
                 assert got == want
     if scalars.is_delta:
         assert zero_products > 0 and dropped > 0
+
+
+def _counting_qnn():
+    # QNN whose dot records how many pairs each call is handed
+    calls = []
+
+    def dot(pairs):
+        pairs = list(pairs)
+        calls.append(len(pairs))
+        return QNN.dot(pairs)
+
+    return dataclasses.replace(QNN, name="qnn-counting", dot=dot), calls
+
+
+def test_matrix_product_calls_dot_once_per_coefficient():
+    S, calls = _counting_qnn()
+    rng = random.Random(67)
+    for H in (Z3, make_group("klein4"), make_group("sym:3")):
+        for m in (1, 2, 3):
+            alg = MatrixAlgebra(GroupAlgebra(H, S), m)
+            span = range(1, m + 1)
+            for trial in range(6):
+                X, Y = _sparse_grid(alg, rng), alg.random_element(rng, 3)
+                calls.clear()
+                P = X * Y
+                # one pair per (k, h1, h2) term of every cell
+                terms = sum(len(X.entry(i, k).coeffs) * len(Y.entry(k, j).coeffs)
+                            for i in span for j in span for k in span)
+                assert len(calls) == sum(len(cell.coeffs) for cell in P.cells.values())
+                assert sum(calls) == terms
+                assert P == _matrix_oracle(X, Y)
+
+
+@pytest.mark.parametrize("scalars", ["nat", "qnn-delta"])
+def test_per_term_scalars_never_call_dot(monkeypatch, scalars):
+    counting, calls = _counting_qnn()
+    # the ring of differences of the counting spec: its products go through
+    # the base's add and mul, never through the base's dot
+    S = NAT if scalars == "nat" else delta_of(counting)
+    taken = []
+    gathered = MatrixElement._gathered_product
+
+    def spy(self, *args):
+        taken.append(self)
+        return gathered(self, *args)
+
+    monkeypatch.setattr(MatrixElement, "_gathered_product", spy)
+    rng = random.Random(71)
+    for H in (Z3, make_group("sym:3")):
+        for m in (1, 2, 3):
+            alg = MatrixAlgebra(GroupAlgebra(H, S), m)
+            for trial in range(4):
+                X, Y = _sparse_grid(alg, rng), alg.random_element(rng, 3)
+                assert X * Y == _matrix_oracle(X, Y)
+    assert taken == [] and calls == []
+    # the spy sees the path that QNN takes
+    alg = MatrixAlgebra(GroupAlgebra(Z3, counting), 2)
+    X = alg.random_element(rng, 3)
+    X * X
+    assert taken and calls
 
 
 def test_matrix_equality_over_empty_cells():

@@ -1,6 +1,7 @@
 """Scalar systems: measured laws, claim consistency, ring of differences."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -231,3 +232,67 @@ def test_law_checker_measures_zero_through_eq():
     wrong = dataclasses.replace(QNN, name="qnn-wrong-zero", is_zero=lambda x: False)
     report = check_semiring_laws(wrong)
     assert report.laws == check_semiring_laws(QNN).laws
+
+
+# ---------------------------------------------------------------------------
+# The fused sum of products.
+
+def _fold_dot(S, pairs):
+    # the left fold that dot replaces, kept as its test-only oracle
+    acc = S.zero
+    for a, b in pairs:
+        acc = S.add(acc, S.mul(a, b))
+    return acc
+
+
+def _rational(rng, kind):
+    if kind == "int":
+        return rng.randrange(0, 40)
+    if kind == "zero":
+        return rng.choice((0, Fraction(0)))
+    if kind == "whole":
+        return Fraction(rng.randrange(0, 40))
+    if kind == "small":
+        return Fraction(rng.randrange(0, 240), rng.randrange(1, 24))
+    return Fraction(rng.randrange(0, 10 ** 6), rng.randrange(24, 10 ** 4))
+
+
+def _dot_cases():
+    rng = random.Random(73)
+    kinds = ("int", "zero", "whole", "small", "large")
+    for length in range(51):
+        # ints alone, ints with Fraction zeros or whole Fractions, and mixes
+        for pool in (("int",), ("int", "zero"), ("int", "whole"), ("whole", "small"),
+                     kinds, kinds, kinds):
+            yield [(_rational(rng, rng.choice(pool)), _rational(rng, rng.choice(pool)))
+                   for _ in range(length)]
+
+
+def test_qnn_dot_matches_the_fold_in_value_and_type():
+    seen = set()
+    for pairs in _dot_cases():
+        want = _fold_dot(QNN, pairs)
+        got = QNN.dot(pairs)
+        assert got == want and type(got) is type(want), pairs
+        # it takes any iterable of pairs, such as a zip
+        got = QNN.dot(zip([a for a, _ in pairs], [b for _, b in pairs]))
+        assert got == want and type(got) is type(want), pairs
+        seen.add((type(want), want == int(want)))
+    # int sums, whole Fraction sums and proper fractions all occur
+    assert seen == {(int, True), (Fraction, True), (Fraction, False)}
+
+
+rational = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                     st.fractions(min_value=0, max_value=1000))
+
+
+@given(st.lists(st.tuples(rational, rational), max_size=50))
+def test_qnn_dot_is_the_fold(pairs):
+    got, want = QNN.dot(pairs), _fold_dot(QNN, pairs)
+    assert got == want and type(got) is type(want)
+
+
+def test_only_qnn_supplies_dot():
+    assert QNN.dot is not None
+    for S in (NAT, BOOL, delta_of(QNN), delta_of(NAT)):
+        assert S.dot is None, S.name
