@@ -19,7 +19,7 @@ def show(spec: str) -> None:
     ok = "ok" if summary.audit_ok else "MISMATCH"
     print(f"  audit: {summary.audit_lhs} = {summary.audit_rhs}  {ok}")
 
-    rows = recursion_diff(G)
+    rows = recursion_diff(G, summary.multiplicities())
     bad = [r for r in rows if not r["equal"]]
     print(f"  recursion vs enumeration: {len(bad)} of {len(rows)} rows differ")
     print()

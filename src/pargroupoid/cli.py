@@ -38,7 +38,7 @@ from .group import (
     read_json,
     subgroup_as_group,
 )
-from .groupoid import Gamma, StandardGroupoid, VerificationError, arrow_rows
+from .groupoid import Gamma, StandardGroupoid, VerificationError, arrow_rows, gamma_size
 
 # The algebra layers (semiring, semialgebra, partial_rep) and structure are
 # imported inside the commands and suites that run them: without a bytecode
@@ -166,8 +166,9 @@ def _suite_assoc(G: FiniteGroup, S: SemiringSpec, seed: int,
 def _suite_partialrep(G: FiniteGroup, S: SemiringSpec, seed: int,
                       bound: int | None) -> list[dict]:
     from .partial_rep import verify_kpar_relations
+    from .semialgebra import GammaAlgebra
 
-    return _axiom_checks(verify_kpar_relations(G, S, bound=bound))
+    return _axiom_checks(verify_kpar_relations(GammaAlgebra(Gamma(G, bound), S)))
 
 
 def _suite_extension(G: FiniteGroup, S: SemiringSpec, seed: int,
@@ -319,11 +320,11 @@ def _suite_structure(G: FiniteGroup, S: SemiringSpec, seed: int,
     # one enumeration and one census serve every check below
     enum = summary.multiplicities()
     census = stabilizer_census(G, bound)
-    ok, w = vertex_count_identity(G, bound, enum, census)
+    ok, w = vertex_count_identity(G, enum, census, bound)
     checks.append(_check("vertex_count_identity", ok, w))
-    ok, w = coset_count_identity(G, bound, census)
+    ok, w = coset_count_identity(G, census, bound)
     checks.append(_check("coset_count_identity", ok, w))
-    diff = recursion_diff(G, bound, enum)
+    diff = recursion_diff(G, enum, bound)
     mismatches = sum(1 for row in diff if not row["equal"])
     checks.append(_check(
         "recursion_diff_informational", True,
@@ -352,7 +353,7 @@ def _gamma_chunks(G: FiniteGroup, fmt: str) -> Iterator[str]:
     {group, order, labels, size, unit_count, elements: [{I, g, unit}, ...]}
     and of its text rendering; the header goes through json.dumps itself, so
     labels are escaped the same way. The counts are closed-form: 2^(n-1)
-    masks contain e, one unit each, and they hold (n+1) * 2^(n-2) elements
+    masks contain e, one unit each, and they hold `gamma_size(n)` elements
     in all, one arrow each. Each mask's I block is read from byte tables of
     rendered elements (every I holds e, index 0, so the tables render the
     rest), its g come from `arrow_rows`, and its chunk is one str.join of
@@ -361,7 +362,7 @@ def _gamma_chunks(G: FiniteGroup, fmt: str) -> Iterator[str]:
     """
     n = G.order
     labels = [G.label(i) for i in G.elements()]
-    size = (n + 1) * (1 << n) // 4
+    size = gamma_size(n)
     unit_count = 1 << (n - 1)
     rows = arrow_rows(G)
     if fmt == "json":

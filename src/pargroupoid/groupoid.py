@@ -72,6 +72,16 @@ class ArrowView:
         return map(GammaElement, self._masks, self._gs)
 
 
+def gamma_size(n: int) -> int:
+    """The number of arrows (I, g) of a group of order n, in closed form.
+
+    It is the sum of |I| over the 2^(n-1) subsets I containing e: each of the
+    n - 1 other elements lies in half of them, so the sum is
+    2^(n-1) + (n - 1) 2^(n-2) = (n + 1) 2^n / 4, also for n = 1.
+    """
+    return (n + 1) * (1 << n) // 4
+
+
 def arrow_rows(group: FiniteGroup) -> Iterator[bytes]:
     """The g of the arrows (I, g) of each mask I containing e, ascending in I.
 

@@ -47,7 +47,7 @@ from .semialgebra import (
     matrix_from_delta,
     matrix_to_delta,
 )
-from .semiring import QNN, SemiringSpec, delta_of
+from .semiring import SemiringSpec, delta_of
 
 _RANK_PRIME = 2**31 - 1
 # The homomorphism check is exhaustive up to _PAIR_BUDGET basis pairs and
@@ -396,36 +396,27 @@ def epsilon(pi: PartialRepMap, r: int):
     return pi.image(r) * pi.image(pi.group.inverse(r))
 
 
-class Epsilon:
-    """The cached table of all idempotents epsilon(r) of one representation."""
-
-    def __init__(self, pi: PartialRepMap):
-        self.pi = pi
-        self.table = tuple(epsilon(pi, r) for r in pi.group.elements())
-
-    def __getitem__(self, r: int):
-        return self.table[r]
-
-    def validate(self) -> AxiomReport:
-        """Idempotency and pairwise commutation; both follow from the
-        partial-representation relations but are checked directly."""
-        G = self.pi.group
-        t = self.table
-        one = self.pi.algebra.one()
-        checks = [AxiomCheck("epsilon_unit", t[0] == one,
-                             None if t[0] == one else (G.label(0),))]
-        idem_w = next(((G.label(r),) for r in G.elements() if t[r] * t[r] != t[r]), None)
-        checks.append(AxiomCheck("epsilon_idempotent", idem_w is None, idem_w))
-        comm_w = None
-        for r in G.elements():
-            for s in range(r + 1, G.order):
-                if t[r] * t[s] != t[s] * t[r]:
-                    comm_w = (G.label(r), G.label(s))
-                    break
-            if comm_w:
+def verify_idempotents(pi: PartialRepMap) -> AxiomReport:
+    """Check the idempotents epsilon(r) of pi: the unit, idempotency and
+    pairwise commutation. All three follow from the partial-representation
+    relations but are checked directly."""
+    G = pi.group
+    t = [epsilon(pi, r) for r in G.elements()]
+    one = pi.algebra.one()
+    checks = [AxiomCheck("epsilon_unit", t[0] == one,
+                         None if t[0] == one else (G.label(0),))]
+    idem_w = next(((G.label(r),) for r in G.elements() if t[r] * t[r] != t[r]), None)
+    checks.append(AxiomCheck("epsilon_idempotent", idem_w is None, idem_w))
+    comm_w = None
+    for r in G.elements():
+        for s in range(r + 1, G.order):
+            if t[r] * t[s] != t[s] * t[r]:
+                comm_w = (G.label(r), G.label(s))
                 break
-        checks.append(AxiomCheck("epsilon_commuting", comm_w is None, comm_w))
-        return AxiomReport(subject=f"idempotent table for {G.name}", checks=tuple(checks))
+        if comm_w:
+            break
+    checks.append(AxiomCheck("epsilon_commuting", comm_w is None, comm_w))
+    return AxiomReport(subject=f"idempotent table for {G.name}", checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +529,8 @@ class GammaHom:
         return AxiomReport(subject="homomorphism property", checks=tuple(checks))
 
 
-def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *,
-                        bound: int | None = None) -> GammaHom:
+def extend_to_gamma_hom(pi: PartialRepMap,
+                        domain: GammaAlgebra | None = None) -> GammaHom:
     """Extend a partial representation to a map on the whole basis (I, g).
 
     The image of (I, g) is pi(g) times the bracket P(I): the product of
@@ -560,12 +551,15 @@ def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *
     ascending, left-nested grouping, so this relies on associativity alone,
     not on the idempotents commuting; at most two pairs of prefixes per
     element are live. The brackets are then emitted in ascending mask order.
+
+    Without a domain, pi's own algebra serves when it is the groupoid
+    semialgebra of pi's group; otherwise one is built under the default bound.
     """
     if domain is None:
         if isinstance(pi.algebra, GammaAlgebra) and pi.algebra.gamma.group is pi.group:
             domain = pi.algebra
         else:
-            domain = GammaAlgebra(Gamma(pi.group, bound), pi.algebra.scalars)
+            domain = GammaAlgebra(Gamma(pi.group), pi.algebra.scalars)
     elif domain.gamma.group is not pi.group or domain.scalars is not pi.algebra.scalars:
         raise BasisMismatchError(f"cannot extend a partial representation of "
                                  f"{pi.group.name} over {pi.algebra.scalars.name} "
@@ -574,15 +568,15 @@ def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *
         raise ValueError("the identity must map to 1 before extending")
 
     one_d = pi.algebra.with_scalars(delta_of(pi.algebra.scalars)).one()
-    eps = Epsilon(pi)
-    comp_d = [one_d - _lift(x) for x in eps.table]
+    eps = [epsilon(pi, r) for r in pi.group.elements()]
+    comp_d = [one_d - _lift(x) for x in eps]
     n = pi.group.order
     brackets: dict[int, tuple] = {}
 
     # each entry holds the ascending products of epsilon over the elements
     # below r in the mask and of 1 - epsilon over those not in it; the
     # second is None until an element is left out
-    stack = [(1, 1, eps.table[0], None)]
+    stack = [(1, 1, eps[0], None)]
     while stack:
         r, mask, inside, outside = stack.pop()
         if r == n:
@@ -591,7 +585,7 @@ def extend_to_gamma_hom(pi: PartialRepMap, domain: GammaAlgebra | None = None, *
             continue
         stack.append((r + 1, mask, inside,
                       comp_d[r] if outside is None else outside * comp_d[r]))
-        stack.append((r + 1, mask | 1 << r, inside * eps.table[r], outside))
+        stack.append((r + 1, mask | 1 << r, inside * eps[r], outside))
     images = []
     for mask in range(1, pi.group.full_mask + 1, 2):
         bracket, failures = brackets.pop(mask)
@@ -716,6 +710,12 @@ def span_generation(algebra: GammaAlgebra) -> SpanReport:
 # ---------------------------------------------------------------------------
 # Factorization through the groupoid semialgebra.
 
+def _span_check(name: str, span: SpanReport) -> AxiomCheck:
+    return AxiomCheck(name, span.complete,
+                      None if span.complete else (span.rank, span.gamma_size),
+                      note=f"rank {span.rank} of {span.gamma_size} via {span.method}")
+
+
 @dataclass(frozen=True)
 class FactorizationReport(AxiomReport):
     span: SpanReport | None = None
@@ -746,35 +746,24 @@ def verify_factorization(pi: PartialRepMap, pi_tilde: GammaHom, *,
     span = None
     if G.order <= _SPAN_LIMIT:
         span = span_generation(pi_tilde.domain)
-        checks.append(AxiomCheck(
-            "uniqueness_span", span.complete,
-            None if span.complete else (span.rank, span.gamma_size),
-            note=f"rank {span.rank} of {span.gamma_size} via {span.method}"))
+        checks.append(_span_check("uniqueness_span", span))
     return FactorizationReport(subject=f"factorization for {G.name}",
                                checks=tuple(checks), span=span)
 
 
-def verify_kpar_relations(G: FiniteGroup, scalars: SemiringSpec = QNN, *,
-                          span: bool | None = None,
-                          bound: int | None = None) -> AxiomReport:
+def verify_kpar_relations(algebra: GammaAlgebra) -> AxiomReport:
     """The canonical images satisfy the defining relations and span.
 
-    Builds the groupoid semialgebra of G over the given scalars, checks the
-    partial-representation relations for the canonical images exhaustively,
-    and (by default for orders up to 6) confirms that their products span the
-    whole semialgebra.
+    Checks the partial-representation relations for the canonical images in
+    the given groupoid semialgebra exhaustively and, up to order
+    _SPAN_LIMIT, confirms that their products span the whole semialgebra.
     """
-    alg = GammaAlgebra(Gamma(G, bound), scalars)
-    rep = verify_partial_rep(lambda_p(alg))
-    checks = list(rep.checks)
-    run_span = G.order <= 6 if span is None else span
-    if run_span:
-        sr = span_generation(alg)
-        checks.append(AxiomCheck(
-            "span_generation", sr.complete,
-            None if sr.complete else (sr.rank, sr.gamma_size),
-            note=f"rank {sr.rank} of {sr.gamma_size} via {sr.method}"))
-    return AxiomReport(subject=f"canonical relations for {G.name} over {scalars.name}",
+    G = algebra.gamma.group
+    checks = list(verify_partial_rep(lambda_p(algebra)).checks)
+    if G.order <= _SPAN_LIMIT:
+        checks.append(_span_check("span_generation", span_generation(algebra)))
+    return AxiomReport(subject=f"canonical relations for {G.name} "
+                               f"over {algebra.scalars.name}",
                        checks=tuple(checks))
 
 

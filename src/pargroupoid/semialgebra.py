@@ -34,6 +34,13 @@ class BasisMismatchError(ValueError):
     """Arguments live in different algebras (or over different scalars)."""
 
 
+def _key_int(v) -> int:
+    """An index read from a JSON basis key; only a non-bool int is one."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"basis key entry {v!r} is not an integer")
+    return v
+
+
 class AlgebraElement:
     """A finitely supported scalar combination of basis indices.
 
@@ -328,13 +335,12 @@ class GammaAlgebra(SparseAlgebra):
         indices, g = key
         n = self.gamma.group.order
         mask = 0
-        for k in indices:
-            k = int(k)
+        for k in map(_key_int, indices):
             if not 0 <= k < n:
                 raise ValueError(
                     f"subset index {k} is out of range for a group of order {n}")
             mask |= 1 << k
-        return self.gamma.element(mask, int(g))
+        return self.gamma.element(mask, _key_int(g))
 
     def describe_basis(self, i: int) -> str:
         return self.gamma.describe(self.basis[i])
@@ -373,7 +379,7 @@ class GroupAlgebra(SparseAlgebra):
         return i
 
     def basis_from_key(self, key) -> int:
-        g = int(key)
+        g = _key_int(key)
         if not 0 <= g < self.group.order:
             raise ValueError(f"group element index {g} out of range")
         return g
@@ -423,7 +429,7 @@ class StandardAlgebra(SparseAlgebra):
         return [el.h, el.i, el.j]
 
     def basis_from_key(self, key) -> StandardElement:
-        h, i, j = (int(v) for v in key)
+        h, i, j = map(_key_int, key)
         el = StandardElement(h, i, j)
         if self._position(el) is None:
             raise ValueError(f"({h},{i},{j}) is not a triple of {self!r}")

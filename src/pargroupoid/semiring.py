@@ -25,8 +25,10 @@ from typing import Any, Callable, Iterable
 
 from .group import DEFAULT_SEED
 
-# Carriers at most this large are checked exhaustively instead of sampled.
+# Carriers at most this large are checked exhaustively instead of sampled;
+# a larger or infinite carrier is checked on SAMPLE_BUDGET seeded triples.
 EXHAUSTIVE_CARRIER_LIMIT = 64
+SAMPLE_BUDGET = 1000
 
 LAW_NAMES = (
     "add_associative",
@@ -141,25 +143,22 @@ class LawReport:
         raise KeyError(f"no law named {name!r}")
 
 
-def check_semiring_laws(S: SemiringSpec, sample_budget: int = 1000,
-                        seed: int = DEFAULT_SEED) -> LawReport:
+def check_semiring_laws(S: SemiringSpec, seed: int = DEFAULT_SEED) -> LawReport:
     """Measure the semiring laws of S on an exhaustive or sampled triple set.
 
     Finite carriers of at most EXHAUSTIVE_CARRIER_LIMIT elements are checked
-    exhaustively; otherwise `sample_budget` deterministic triples are drawn
+    exhaustively; otherwise SAMPLE_BUDGET deterministic triples are drawn
     (a fixed prefix of canonical values followed by a seeded stream). Every
     law is measured regardless of what S claims; mismatches between claims
     and measurements are listed in the report.
     """
-    if sample_budget < 1:
-        raise ValueError(f"sample_budget must be positive, got {sample_budget}")
     exhaustive = S.carrier is not None and len(S.carrier) <= EXHAUSTIVE_CARRIER_LIMIT
     if exhaustive:
         singles = list(S.carrier)
         triples = list(itertools.product(singles, repeat=3))
     else:
-        stream = S.values(3 * sample_budget, seed)
-        singles = S.values(sample_budget, seed)
+        stream = S.values(3 * SAMPLE_BUDGET, seed)
+        singles = S.values(SAMPLE_BUDGET, seed)
         triples = [tuple(stream[3 * i:3 * i + 3]) for i in range(len(stream) // 3)]
 
     add, mul, eq = S.add, S.mul, S.eq
@@ -246,7 +245,10 @@ def check_semiring_laws(S: SemiringSpec, sample_budget: int = 1000,
 # Concrete scalar systems.
 
 def _nonneg_fraction(s: str) -> Fraction:
-    v = Fraction(s)
+    try:
+        v = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
     if v < 0:
         raise ValueError(f"not a non-negative rational: {s!r}")
     return v

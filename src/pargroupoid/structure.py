@@ -9,8 +9,8 @@ of isotropy, m) gives the block table
     KGamma(G) = direct sum over classes [H] and m of c_m([H]) copies of
     M_m(KH),
 
-with the dimension audit sum of c * m^2 * |H| equal to the basis size
-sum over subsets I containing e of |I|.
+with the dimension audit sum of c * m^2 * |H| equal to the basis size, the
+sum over subsets I containing e of |I|, taken in closed form.
 
 The isomorphism of a component onto M_m(KH) is checked in the two steps of
 its proof (Steinberg, Adv. Math. 2010; Dokuchaev-Exel-Piccione, J. Algebra
@@ -50,6 +50,7 @@ from .groupoid import (
     StandardElement,
     StandardGroupoid,
     VerificationError,
+    gamma_size,
     unit_components,
 )
 
@@ -58,16 +59,6 @@ from .groupoid import (
 if TYPE_CHECKING:
     from .semialgebra import MatrixAlgebra, StandardAlgebra
     from .semiring import SemiringSpec
-
-
-def gamma_size_from_subsets(G: FiniteGroup) -> int:
-    """Sum of |I| over subsets I containing the identity.
-
-    This equals the number of pairs (I, g) but is computed without building
-    any of them, so it serves as the independent side of the dimension audit.
-    """
-    n = G.order
-    return sum(mask.bit_count() for mask in range(1, 1 << n, 2))
 
 
 def _class_lookup(classes: list[list[Subgroup]]) -> tuple[dict[int, int], dict[int, Subgroup]]:
@@ -114,20 +105,15 @@ def stabilizer_census(G: FiniteGroup,
     return census
 
 
-def vertex_count_identity(G: FiniteGroup, bound: int | None = None,
-                          counts: dict[tuple[int, int], int] | None = None,
-                          census: dict[tuple[int, int], int] | None = None
-                          ) -> tuple[bool, tuple | None]:
+def vertex_count_identity(G: FiniteGroup, counts: dict[tuple[int, int], int],
+                          census: dict[tuple[int, int], int],
+                          bound: int | None = None) -> tuple[bool, tuple | None]:
     """c_m([H]) * m must equal the number of census subsets across the class.
 
     Each component contributes m vertices, and every subset with conjugate
     stabilizer and matching size is a vertex of exactly one such component.
-    counts (the enumeration table) and census are computed when not given.
+    counts is the enumeration table and census the stabilizer census of G.
     """
-    if counts is None:
-        counts = multiplicity_enumeration(G, bound)
-    if census is None:
-        census = stabilizer_census(G, bound)
     classes = conjugacy_classes_of_subgroups(G, bound)
     rep_of, _ = _class_lookup(classes)
     by_class: dict[tuple[int, int], int] = {}
@@ -187,18 +173,15 @@ def multiplicity_recursion(G: FiniteGroup,
     return out
 
 
-def coset_count_identity(G: FiniteGroup, bound: int | None = None,
-                         census: dict[tuple[int, int], int] | None = None
-                         ) -> tuple[bool, tuple | None]:
+def coset_count_identity(G: FiniteGroup, census: dict[tuple[int, int], int],
+                         bound: int | None = None) -> tuple[bool, tuple | None]:
     """Check the partition behind the recursion against the census.
 
     For every subgroup H and every m, the subsets containing e that are
     unions of m right H-cosets split by exact stabilizer B >= H into census
     classes of size N(B, m/(B:H)); their total must be binom((G:H)-1, m-1).
-    census is computed when not given.
+    census is the stabilizer census of G.
     """
-    if census is None:
-        census = stabilizer_census(G, bound)
     subs = subgroups(G, bound)
     for H in subs:
         index = G.order // H.order
@@ -216,14 +199,10 @@ def coset_count_identity(G: FiniteGroup, bound: int | None = None,
     return True, None
 
 
-def recursion_diff(G: FiniteGroup, bound: int | None = None,
-                   enum: dict[tuple[int, int], int] | None = None) -> list[dict]:
-    """Side-by-side rows comparing enumeration and recursion multiplicities.
-
-    enum is the enumeration table when the caller already holds it.
-    """
-    if enum is None:
-        enum = multiplicity_enumeration(G, bound)
+def recursion_diff(G: FiniteGroup, enum: dict[tuple[int, int], int],
+                   bound: int | None = None) -> list[dict]:
+    """Side-by-side rows comparing the enumeration table enum with the
+    recursion multiplicities."""
     rec = multiplicity_recursion(G, bound)
     rows = []
     for mask, m in sorted(enum.keys() | rec.keys(),
@@ -491,7 +470,7 @@ def decompose(G: FiniteGroup, bound: int | None = None) -> DecompositionSummary:
         for mask, m in sorted(counts,
                               key=lambda k: (k[0].bit_count(), k[1], k[0])))
     lhs = sum(b.c * b.m * b.m * b.H_order for b in blocks)
-    rhs = gamma_size_from_subsets(G)
+    rhs = gamma_size(G.order)
     return DecompositionSummary(
         group=G.name, blocks=blocks, gamma_size=rhs,
         audit_lhs=lhs, audit_rhs=rhs)
@@ -501,5 +480,5 @@ def decomposition_report(G: FiniteGroup, bound: int | None = None) -> dict:
     """The full report: block table, audit, and the recursion diff."""
     summary = decompose(G, bound)
     doc = summary.to_json()
-    doc["recursion_diff"] = recursion_diff(G, bound, summary.multiplicities())
+    doc["recursion_diff"] = recursion_diff(G, summary.multiplicities(), bound)
     return doc

@@ -18,7 +18,8 @@ def roster_map(roster):
 def kpar_reports(roster):
     # One relations-plus-span run per group, shared by every test that needs
     # the canonical representation verified; this dominates suite runtime.
-    return {name: verify_kpar_relations(G) for name, G in roster}
+    return {name: verify_kpar_relations(GammaAlgebra(Gamma(G), QNN))
+            for name, G in roster}
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,9 @@ from pargroupoid.semiring import (
 from pargroupoid.structure import (
     coset_count_identity,
     decompose,
+    multiplicity_enumeration,
     recursion_diff,
+    stabilizer_census,
 )
 
 SEED = 0xC0FFEE
@@ -238,10 +240,10 @@ def test_c11_semiring_law_gate():
 def test_c12_coset_identity_and_recursion_diff(roster):
     mismatch_total = 0
     for name, G in roster:
-        ok, witness = coset_count_identity(G)
+        ok, witness = coset_count_identity(G, stabilizer_census(G))
         assert ok, (name, witness)
-        rows = recursion_diff(G)
-        again = recursion_diff(G)
+        rows = recursion_diff(G, multiplicity_enumeration(G))
+        again = recursion_diff(G, multiplicity_enumeration(G))
         assert rows == again, name  # emitted report is stable
         mismatch_total += sum(1 for row in rows if not row["equal"])
         for row in rows:

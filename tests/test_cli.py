@@ -228,6 +228,15 @@ def test_verify_extension_matches_golden_bytes(capsys, spec, scalar):
     assert out == (GOLDEN / f"verify_extension_{name}_{scalar}.json").read_text()
 
 
+@pytest.mark.parametrize("spec", ["sym:3", "dihedral:4"])
+def test_verify_all_matches_golden_bytes(capsys, spec):
+    code, out, err = _run(capsys, ["verify", "--suite", "all",
+                                   "--group", spec, "--scalar", "qnn"])
+    assert code == 0 and err == ""
+    name = spec.replace(":", "")
+    assert out == (GOLDEN / f"verify_all_{name}_qnn.json").read_text()
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     _, first, _ = _run(capsys, ["verify", "--group", "cyclic:2", "--suite", "laws"])
     _, second, _ = _run(capsys, ["verify", "--group", "cyclic:2", "--suite", "laws"])

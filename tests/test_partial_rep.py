@@ -17,7 +17,6 @@ from pargroupoid.semialgebra import (
     GroupAlgebra,
 )
 from pargroupoid.partial_rep import (
-    Epsilon,
     ExtensionMembershipError,
     _lift,
     _lower,
@@ -31,6 +30,7 @@ from pargroupoid.partial_rep import (
     regular_representation,
     span_generation,
     verify_factorization,
+    verify_idempotents,
     verify_kpar_relations,
     verify_partial_action,
     verify_partial_rep,
@@ -203,8 +203,8 @@ def test_epsilon_idempotents():
     # lambda(a) lambda(a) is the unit arrow at the full subset
     assert epsilon(lam, 1) == alg.basis_element(GammaElement(0b11, 0))
 
-    table = Epsilon(lambda_p(GammaAlgebra(Gamma(make_group("sym:3")), QNN)))
-    report = table.validate()
+    report = verify_idempotents(
+        lambda_p(GammaAlgebra(Gamma(make_group("sym:3")), QNN)))
     assert report.passed, report.failures
 
 
@@ -254,9 +254,8 @@ def _extend_oracle(pi, domain, complement_idempotents=True):
     # instead, the reading that collapses to zero.
     S = pi.algebra.scalars
     one_d = pi.algebra.with_scalars(delta_of(S)).one()
-    eps = Epsilon(pi)
     im_d = [_lift(x) for x in pi.images]
-    eps_d = [_lift(x) for x in eps.table]
+    eps_d = [_lift(epsilon(pi, r)) for r in pi.group.elements()]
     comp_d = [one_d - x for x in eps_d]
     n = pi.group.order
     images = []
@@ -495,12 +494,12 @@ def test_canonical_images_span_small_algebras():
 
 
 def test_kpar_relations_bundle():
-    report = verify_kpar_relations(Z3)
+    report = verify_kpar_relations(GammaAlgebra(Gamma(Z3), QNN))
     assert report.passed
     assert report.check("span_generation").passed
 
-    # past order 6 the span check only runs on request
-    names = {c.name for c in verify_kpar_relations(make_group("dihedral:4"),
-                                                   span=False).checks}
+    # no span check past order 6
+    names = {c.name for c in verify_kpar_relations(
+        GammaAlgebra(Gamma(make_group("dihedral:4")), QNN)).checks}
     assert "span_generation" not in names
     assert {"unit", "right_relation", "left_relation", "sandwich"} <= names

@@ -862,6 +862,39 @@ def test_json_rejects_a_subset_index_outside_the_group(index):
         f"subset index {index} is out of range for a group of order 3")
 
 
+@pytest.mark.parametrize("kind, key, bad", [
+    ("gamma", [[0, 2.9], 0], "2.9"),
+    ("gamma", [[0, 1], True], "True"),
+    ("gamma", [["1"], 0], "'1'"),
+    ("group", 2.9, "2.9"),
+    ("group", True, "True"),
+    ("group", "1", "'1'"),
+    ("matrix", [1.5, True, 2.2], "1.5"),
+    ("matrix", [0, True, 1], "True"),
+    ("matrix", [0, "1", 1], "'1'"),
+])
+def test_json_rejects_a_basis_key_entry_that_is_not_an_int(kind, key, bad):
+    # a float used to truncate (2.9 read as 2), and numeric strings and JSON
+    # booleans passed as the ints they convert to
+    alg = {"gamma": GammaAlgebra(Gamma(Z3), QNN),
+           "group": GroupAlgebra(Z3, QNN),
+           "matrix": StandardAlgebra(StandardGroupoid(Z3, 2), QNN)}[kind]
+    doc = {"basis": kind, "terms": [{"b": key, "c": "1"}]}
+    with pytest.raises(ValueError) as info:
+        element_from_json(alg, doc)
+    assert str(info.value) == f"basis key entry {bad} is not an integer"
+
+
+@pytest.mark.parametrize("scalars, coeff", [
+    (QNN, "1/0"), (delta_of(QNN), "1/0"), (delta_of(QNN), "(1|2/0)"),
+    (delta_of(QNN), "-3/0")])
+def test_json_rejects_a_zero_denominator(scalars, coeff):
+    alg = GroupAlgebra(Z3, scalars)
+    doc = {"basis": "group", "terms": [{"b": 0, "c": coeff}]}
+    with pytest.raises(ValueError, match="zero denominator in '[0-9]+/0'"):
+        element_from_json(alg, doc)
+
+
 def test_matrix_to_json_sorts_terms():
     mat = MatrixAlgebra(GroupAlgebra(Z3, QNN), 2)
     X = mat.matrix_unit(2, 1) + mat.matrix_unit(1, 1)

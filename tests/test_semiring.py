@@ -65,11 +65,6 @@ def test_bool_core_laws_hold():
         assert report.law(name).passed, name
 
 
-def test_law_check_rejects_empty_budget():
-    with pytest.raises(ValueError):
-        check_semiring_laws(QNN, sample_budget=0)
-
-
 # ---------------------------------------------------------------------------
 # Formal differences over QNN, checked against genuine rational arithmetic.
 

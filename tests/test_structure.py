@@ -22,6 +22,7 @@ from pargroupoid.groupoid import (
     GammaElement,
     StandardGroupoid,
     VerificationError,
+    gamma_size,
     unit_components,
 )
 from pargroupoid.semialgebra import (
@@ -39,7 +40,6 @@ from pargroupoid.structure import (
     cross_component_orthogonality,
     decompose,
     decomposition_report,
-    gamma_size_from_subsets,
     multiplicity_enumeration,
     multiplicity_recursion,
     recursion_diff,
@@ -52,17 +52,27 @@ from pargroupoid.structure import (
 GAMMA_SIZES = {1: 1, 2: 3, 3: 8, 4: 20, 5: 48, 6: 112, 7: 256, 8: 576}
 
 
+def _mask_walk_size(n: int) -> int:
+    # the sum of |I| over the masks containing e, one mask at a time: the
+    # walk that `gamma_size` replaced, kept as its oracle
+    return sum(mask.bit_count() for mask in range(1, 1 << n, 2))
+
+
 def test_gamma_size_closed_form():
     for n, expected in GAMMA_SIZES.items():
-        assert gamma_size_from_subsets(make_group(f"cyclic:{n}")) == expected
+        assert _mask_walk_size(n) == gamma_size(n) == expected
         if n >= 2:
             assert expected == (n + 1) * 2 ** (n - 2)
+    assert _mask_walk_size(16) == gamma_size(16) == 17 * 2 ** 14
 
 
 def test_gamma_size_counts_the_built_basis(roster):
-    for _, G in roster:
-        if G.order <= 6:
-            assert len(Gamma(G).elements) == gamma_size_from_subsets(G)
+    groups = [G for _, G in roster] + [make_group("dihedral:8")]
+    for G in groups:
+        gamma = Gamma(G)
+        size = gamma.size
+        assert size == len(gamma.elements) == _mask_walk_size(G.order)
+        assert size == gamma_size(G.order) == decompose(G).gamma_size, G.name
 
 
 def test_enumeration_matches_component_reports(roster):
@@ -122,16 +132,17 @@ def test_recursion_agrees_with_enumeration(roster):
         enum = multiplicity_enumeration(G)
         rec = multiplicity_recursion(G)
         assert rec == {k: Fraction(v) for k, v in enum.items()}, name
-        rows = recursion_diff(G)
+        rows = recursion_diff(G, enum)
         assert all(row["equal"] for row in rows), name
         assert sum(row["enumeration"] for row in rows) == sum(enum.values())
 
 
 def test_counting_identities(roster):
     for name, G in roster:
-        ok, witness = vertex_count_identity(G)
+        census = stabilizer_census(G)
+        ok, witness = vertex_count_identity(G, multiplicity_enumeration(G), census)
         assert ok, (name, witness)
-        ok, witness = coset_count_identity(G)
+        ok, witness = coset_count_identity(G, census)
         assert ok, (name, witness)
 
 
