@@ -320,11 +320,11 @@ def _suite_structure(G: FiniteGroup, S: SemiringSpec, seed: int,
     # one enumeration and one census serve every check below
     enum = summary.multiplicities()
     census = stabilizer_census(G, bound)
-    ok, w = vertex_count_identity(G, enum, census, bound)
+    ok, w = vertex_count_identity(G, enum, census)
     checks.append(_check("vertex_count_identity", ok, w))
-    ok, w = coset_count_identity(G, census, bound)
+    ok, w = coset_count_identity(G, census)
     checks.append(_check("coset_count_identity", ok, w))
-    diff = recursion_diff(G, enum, bound)
+    diff = recursion_diff(G, enum)
     mismatches = sum(1 for row in diff if not row["equal"])
     checks.append(_check(
         "recursion_diff_informational", True,

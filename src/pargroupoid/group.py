@@ -3,9 +3,9 @@
 Element indices run 0..order-1 with the identity at index 0. A subset of the
 group is an int whose bit x is set when element x belongs to the subset; all
 subset operations (translation, stabilizers, cosets) work on these masks.
-Subset-enumerating operations refuse groups larger than a configurable bound,
-and any group above MAX_ORDER_BOUND, because they walk all 2^(order-1) subsets
-containing the identity.
+Subset walks refuse groups larger than a configurable bound, and any group
+above MAX_ORDER_BOUND, because they visit all 2^(order-1) subsets containing
+the identity. The subgroup lattice walks none; it stops only at MAX_ORDER_BOUND.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ DEFAULT_SEED = 0xC0FFEE
 
 # No bound lifts a subset walk past this order. It is the largest walk CI
 # runs (the 2^23 subsets of S4, about 15 s); at orders 30 and 40 a walk runs
-# out of memory instead of finishing.
+# out of memory instead of finishing. The subgroup lattice stops here too.
 MAX_ORDER_BOUND = 24
 
 # cyclic:n and dihedral:n build and validate a full Cayley table, so their
@@ -315,9 +315,6 @@ class Subgroup:
     def elements(self) -> list[int]:
         return indices_of_mask(self.mask)
 
-    def contains(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
     def __repr__(self) -> str:
         return f"Subgroup({self.group.subset_repr(self.mask)})"
 
@@ -487,13 +484,15 @@ def _closure_mask(G: FiniteGroup, mask: int) -> int:
     return closed
 
 
-def subgroups(G: FiniteGroup, bound: int | None = None) -> list[Subgroup]:
+def subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups, by incremental closure; sorted by (order, mask).
 
-    The lattice is walked once per group and kept on it; each call still
-    checks the bound and returns a fresh list.
+    The lattice is walked once per group, with no bound, and kept on it; a
+    group above MAX_ORDER_BOUND is refused. Each call returns a fresh list.
     """
-    _check_bound(G, bound, "subgroup enumeration")
+    if G.order > MAX_ORDER_BOUND:
+        raise GroupOrderBoundError(f"subgroup enumeration: order {G.order} "
+                                   f"exceeds the hard ceiling {MAX_ORDER_BOUND}")
     if G._subgroups is not None:
         return list(G._subgroups)
     found = {1}
@@ -514,14 +513,13 @@ def subgroups(G: FiniteGroup, bound: int | None = None) -> list[Subgroup]:
     return list(G._subgroups)
 
 
-def conjugacy_classes_of_subgroups(G: FiniteGroup,
-                                   bound: int | None = None) -> list[list[Subgroup]]:
+def conjugacy_classes_of_subgroups(G: FiniteGroup) -> list[list[Subgroup]]:
     """Subgroups grouped into conjugacy classes.
 
     Classes are sorted by (order, least mask); the first entry of each class,
     its least mask, is the canonical representative.
     """
-    all_subs = subgroups(G, bound)
+    all_subs = subgroups(G)
     seen: set[int] = set()
     classes: list[list[Subgroup]] = []
     for H in all_subs:

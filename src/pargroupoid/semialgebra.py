@@ -110,14 +110,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
-    def terms(self) -> list[tuple[Any, Any]]:
-        """(basis object, coefficient) pairs in canonical basis order."""
-        basis = self.algebra.basis
-        return [(basis[i], self.coeffs[i]) for i in sorted(self.coeffs)]
-
     def to_json(self) -> dict:
         alg = self.algebra
         fmt = alg.scalars.fmt
@@ -332,6 +324,8 @@ class GammaAlgebra(SparseAlgebra):
         return [[k for k in range(self.gamma.group.order) if el.mask >> k & 1], el.g]
 
     def basis_from_key(self, key) -> GammaElement:
+        if not (isinstance(key, list) and len(key) == 2 and isinstance(key[0], list)):
+            raise ValueError(f"gamma key {key!r} is not [indices, g]")
         indices, g = key
         n = self.gamma.group.order
         mask = 0
@@ -429,6 +423,8 @@ class StandardAlgebra(SparseAlgebra):
         return [el.h, el.i, el.j]
 
     def basis_from_key(self, key) -> StandardElement:
+        if not (isinstance(key, list) and len(key) == 3):
+            raise ValueError(f"triple key {key!r} is not [h, i, j]")
         h, i, j = map(_key_int, key)
         el = StandardElement(h, i, j)
         if self._position(el) is None:
@@ -834,13 +830,19 @@ def matrix_from_delta(X: MatrixElement, base: MatrixAlgebra
 # Serialization.
 
 def element_from_json(algebra: SparseAlgebra, doc: dict) -> AlgebraElement:
-    """Inverse of AlgebraElement.to_json for a known algebra."""
+    """Inverse of AlgebraElement.to_json for a known algebra; a document of
+    any other shape raises ValueError."""
     if doc.get("basis") != algebra.kind:
         raise ValueError(f"basis tag {doc.get('basis')!r} does not match {algebra.kind!r}")
     parse = algebra.scalars.parse
     if parse is None:
         raise SemiringPropertyError(f"{algebra.scalars.name} has no coefficient parser")
+    terms = doc.get("terms")
+    if not isinstance(terms, list):
+        raise ValueError("the document has no list of terms")
     pairs = []
-    for term in doc["terms"]:
+    for k, term in enumerate(terms):
+        if not isinstance(term, dict) or not {"b", "c"} <= term.keys():
+            raise ValueError(f"term {k} is not an object with keys 'b' and 'c'")
         pairs.append((algebra.basis_from_key(term["b"]), parse(term["c"])))
     return algebra.element(pairs)

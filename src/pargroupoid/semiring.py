@@ -244,9 +244,16 @@ def check_semiring_laws(S: SemiringSpec, seed: int = DEFAULT_SEED) -> LawReport:
 # ---------------------------------------------------------------------------
 # Concrete scalar systems.
 
+def _coefficient_text(s: str) -> str:
+    """A coefficient read from JSON, where `fmt` writes only strings."""
+    if not isinstance(s, str):
+        raise ValueError(f"coefficient {s!r} is not a string")
+    return s
+
+
 def _nonneg_fraction(s: str) -> Fraction:
     try:
-        v = Fraction(s)
+        v = Fraction(_coefficient_text(s))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
     if v < 0:
@@ -255,7 +262,7 @@ def _nonneg_fraction(s: str) -> Fraction:
 
 
 def _nonneg_int(s: str) -> int:
-    v = int(s)
+    v = int(_coefficient_text(s))
     if v < 0:
         raise ValueError(f"not a natural number: {s!r}")
     return v
@@ -414,7 +421,7 @@ def _delta_parse(S: SemiringSpec) -> Callable[[str], DeltaElement]:
     def parse(s: str) -> DeltaElement:
         if S.parse is None:
             raise SemiringPropertyError(f"{S.name} has no parser")
-        if "|" in s:
+        if "|" in _coefficient_text(s):
             p, n = s.split("|", 1)
             return DeltaElement(S.parse(p.lstrip("(")), S.parse(n.rstrip(")")))
         if s.startswith("-"):

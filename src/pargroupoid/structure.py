@@ -76,7 +76,7 @@ def multiplicity_enumeration(G: FiniteGroup,
     `unit_components`, so no groupoid is built.
     """
     _check_bound(G, bound, "multiplicity enumeration")
-    classes = conjugacy_classes_of_subgroups(G, bound)
+    classes = conjugacy_classes_of_subgroups(G)
     rep_of, _ = _class_lookup(classes)
     counts: dict[tuple[int, int], int] = {}
     for vertices, iso in unit_components(G):
@@ -106,15 +106,14 @@ def stabilizer_census(G: FiniteGroup,
 
 
 def vertex_count_identity(G: FiniteGroup, counts: dict[tuple[int, int], int],
-                          census: dict[tuple[int, int], int],
-                          bound: int | None = None) -> tuple[bool, tuple | None]:
+                          census: dict[tuple[int, int], int]) -> tuple[bool, tuple | None]:
     """c_m([H]) * m must equal the number of census subsets across the class.
 
     Each component contributes m vertices, and every subset with conjugate
     stabilizer and matching size is a vertex of exactly one such component.
     counts is the enumeration table and census the stabilizer census of G.
     """
-    classes = conjugacy_classes_of_subgroups(G, bound)
+    classes = conjugacy_classes_of_subgroups(G)
     rep_of, _ = _class_lookup(classes)
     by_class: dict[tuple[int, int], int] = {}
     for (mask, m), cnt in census.items():
@@ -131,8 +130,7 @@ def vertex_count_identity(G: FiniteGroup, counts: dict[tuple[int, int], int],
 # ---------------------------------------------------------------------------
 # The recursion and its dissenting opinions.
 
-def multiplicity_recursion(G: FiniteGroup,
-                           bound: int | None = None) -> dict[tuple[int, int], Fraction]:
+def multiplicity_recursion(G: FiniteGroup) -> dict[tuple[int, int], Fraction]:
     """Multiplicities from the binomial recursion; diagnostic, not trusted.
 
     Subsets containing e that are unions of m right H-cosets number
@@ -146,8 +144,7 @@ def multiplicity_recursion(G: FiniteGroup,
     fraction, left unreduced to integers so a wrong reading shows up as a
     non-integral value instead of a crash.
     """
-    _check_bound(G, bound, "multiplicity recursion")
-    subs = subgroups(G, bound)
+    subs = subgroups(G)
     n_table: dict[tuple[int, int], int] = {}
     for H in sorted(subs, key=lambda s: -s.order):
         index = G.order // H.order
@@ -161,7 +158,7 @@ def multiplicity_recursion(G: FiniteGroup,
                     total -= n_table[(B.mask, m // step)]
             n_table[(H.mask, m)] = total
 
-    classes = conjugacy_classes_of_subgroups(G, bound)
+    classes = conjugacy_classes_of_subgroups(G)
     out: dict[tuple[int, int], Fraction] = {}
     for cls in classes:
         rep = cls[0]
@@ -173,8 +170,8 @@ def multiplicity_recursion(G: FiniteGroup,
     return out
 
 
-def coset_count_identity(G: FiniteGroup, census: dict[tuple[int, int], int],
-                         bound: int | None = None) -> tuple[bool, tuple | None]:
+def coset_count_identity(G: FiniteGroup,
+                         census: dict[tuple[int, int], int]) -> tuple[bool, tuple | None]:
     """Check the partition behind the recursion against the census.
 
     For every subgroup H and every m, the subsets containing e that are
@@ -182,7 +179,7 @@ def coset_count_identity(G: FiniteGroup, census: dict[tuple[int, int], int],
     classes of size N(B, m/(B:H)); their total must be binom((G:H)-1, m-1).
     census is the stabilizer census of G.
     """
-    subs = subgroups(G, bound)
+    subs = subgroups(G)
     for H in subs:
         index = G.order // H.order
         for m in range(1, index + 1):
@@ -199,11 +196,10 @@ def coset_count_identity(G: FiniteGroup, census: dict[tuple[int, int], int],
     return True, None
 
 
-def recursion_diff(G: FiniteGroup, enum: dict[tuple[int, int], int],
-                   bound: int | None = None) -> list[dict]:
+def recursion_diff(G: FiniteGroup, enum: dict[tuple[int, int], int]) -> list[dict]:
     """Side-by-side rows comparing the enumeration table enum with the
     recursion multiplicities."""
-    rec = multiplicity_recursion(G, bound)
+    rec = multiplicity_recursion(G)
     rows = []
     for mask, m in sorted(enum.keys() | rec.keys(),
                           key=lambda k: (k[0].bit_count(), k[1], k[0])):
@@ -464,7 +460,7 @@ def decompose(G: FiniteGroup, bound: int | None = None) -> DecompositionSummary:
     """
     _check_bound(G, bound, "decomposing")
     counts = multiplicity_enumeration(G, bound)
-    _, rep_sub = _class_lookup(conjugacy_classes_of_subgroups(G, bound))
+    _, rep_sub = _class_lookup(conjugacy_classes_of_subgroups(G))
     blocks = tuple(
         BlockDescriptor(rep_sub[mask], m, counts[(mask, m)])
         for mask, m in sorted(counts,
@@ -480,5 +476,5 @@ def decomposition_report(G: FiniteGroup, bound: int | None = None) -> dict:
     """The full report: block table, audit, and the recursion diff."""
     summary = decompose(G, bound)
     doc = summary.to_json()
-    doc["recursion_diff"] = recursion_diff(G, summary.multiplicities(), bound)
+    doc["recursion_diff"] = recursion_diff(G, summary.multiplicities())
     return doc

@@ -101,21 +101,41 @@ def test_huge_ground_set_is_never_built(tmp_path):
         "name": "identity_domain", "passed": False, "witness": "(0,)"}
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["decompose", "--group", "cyclic:40", "--bound", "40"], {}),
-    (["decompose", "--group", "cyclic:40"], {"PARGROUPOID_BOUND": "40"}),
-    (["gamma", "--group", "cyclic:30", "--bound", "30"], {}),
-    (["verify", "--group", "cyclic:30", "--bound", "30", "--suite", "assoc"], {}),
-], ids=["decompose-flag", "decompose-env", "gamma", "verify-assoc"])
-def test_bounds_past_the_ceiling_exit_3_with_one_line(argv, env, monkeypatch):
-    # these exited 4 with MemoryError under the cap, the decompose run at
-    # once and the other two after about 20 s
+_DECOMPOSING = "decomposing walks all subsets of the group; order "
+_BUILDING = "building the groupoid walks all subsets of the group; order "
+
+
+@pytest.mark.parametrize("argv, env, line", [
+    (["decompose", "--group", "cyclic:40", "--bound", "40"], {},
+     _DECOMPOSING + "40 exceeds the hard ceiling 24 on any bound"),
+    (["decompose", "--group", "cyclic:40"], {"PARGROUPOID_BOUND": "40"},
+     _DECOMPOSING + "40 exceeds the hard ceiling 24 on any bound"),
+    (["gamma", "--group", "cyclic:30", "--bound", "30"], {},
+     _BUILDING + "30 exceeds the hard ceiling 24 on any bound"),
+    (["verify", "--group", "cyclic:30", "--bound", "30", "--suite", "assoc"], {},
+     _BUILDING + "30 exceeds the hard ceiling 24 on any bound"),
+    (["decompose", "--group", "cyclic:17"], {}, _DECOMPOSING + "17 exceeds the bound 16"),
+    (["verify", "--group", "cyclic:17", "--suite", "structure"], {},
+     _DECOMPOSING + "17 exceeds the bound 16"),
+    (["verify", "--group", "cyclic:17", "--suite", "tensor"], {},
+     _DECOMPOSING + "17 exceeds the bound 16"),
+    (["decompose", "--group", "cyclic:17", "--scalar", "qnn"], {},
+     _DECOMPOSING + "17 exceeds the bound 16"),
+    (["verify", "--group", "cyclic:17"], {}, _BUILDING + "17 exceeds the bound 16"),
+    (["decompose", "--group", "cyclic:25", "--bound", "30"], {},
+     _DECOMPOSING + "25 exceeds the hard ceiling 24 on any bound"),
+], ids=["decompose-flag", "decompose-env", "gamma", "verify-assoc",
+        "decompose-17", "verify-structure-17", "verify-tensor-17",
+        "decompose-qnn-17", "verify-17", "decompose-25"])
+def test_bounds_past_the_ceiling_exit_3_with_one_line(argv, env, line, monkeypatch):
+    # the first four exited 4 with MemoryError under the cap, the decompose
+    # run at once and the other two after about 20 s; every refusal names
+    # the subset walk that a check runs before the subgroup lattice
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     code, out, err = _run_capped(argv)
     _assert_clean_exit(code, err)
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and err.endswith("exceeds the hard ceiling 24 on any bound\n")
+    assert (code, out, err) == (3, "", f"error: {line}\n")
 
 
 _digits = st.one_of(

@@ -37,6 +37,7 @@ from pargroupoid.group import (
     subgroup_as_group,
     subgroups,
 )
+from pargroupoid.structure import multiplicity_enumeration
 
 
 def test_spec_grammar_builds_expected_orders():
@@ -416,17 +417,21 @@ def test_subgroups_are_kept_on_the_group():
     second = subgroups(G)
     assert second == subgroups(G) and second is not subgroups(G)
     assert {H.mask for H in second} == _brute_force_subgroups(G)
-    with pytest.raises(GroupOrderBoundError):
-        subgroups(G, bound=4)
 
 
 def test_no_bound_lifts_a_walk_past_the_ceiling():
+    # the lattice takes no bound and stops only at the ceiling; a subset
+    # walk stops there whatever bound it is given
     G = make_group("cyclic:25")
-    with pytest.raises(GroupOrderBoundError, match="hard ceiling 24"):
-        subgroups(G, bound=25)
+    with pytest.raises(GroupOrderBoundError) as info:
+        subgroups(G)
+    assert str(info.value) == (
+        "subgroup enumeration: order 25 exceeds the hard ceiling 24")
+    with pytest.raises(GroupOrderBoundError, match="hard ceiling 24 on any bound$"):
+        multiplicity_enumeration(G, bound=25)
     with pytest.raises(GroupOrderBoundError, match="order 25 exceeds the bound 24$"):
-        subgroups(G, bound=24)
-    assert len(subgroups(make_group("cyclic:24"), bound=100)) == 8
+        multiplicity_enumeration(G, bound=24)
+    assert len(subgroups(make_group("cyclic:24"))) == 8
 
 
 def test_subgroup_rejects_non_closed_subsets():

@@ -895,6 +895,35 @@ def test_json_rejects_a_zero_denominator(scalars, coeff):
         element_from_json(alg, doc)
 
 
+@pytest.mark.parametrize("kind, scalars, doc, message", [
+    ("group", QNN, {"terms": [{"b": 0, "c": 0.1}]}, "coefficient 0.1 is not a string"),
+    ("group", QNN, {"terms": [{"b": 0, "c": True}]}, "coefficient True is not a string"),
+    ("group", NAT, {"terms": [{"b": 0, "c": 2.9}]}, "coefficient 2.9 is not a string"),
+    ("group", delta_of(QNN), {"terms": [{"b": 0, "c": 2}]},
+     "coefficient 2 is not a string"),
+    ("gamma", QNN, {"terms": [{"b": 5, "c": "1"}]}, "gamma key 5 is not [indices, g]"),
+    ("gamma", QNN, {"terms": [{"b": None, "c": "1"}]},
+     "gamma key None is not [indices, g]"),
+    ("gamma", QNN, {"terms": [{"b": [[0]], "c": "1"}]},
+     "gamma key [[0]] is not [indices, g]"),
+    ("matrix", QNN, {"terms": [{"b": 5, "c": "1"}]}, "triple key 5 is not [h, i, j]"),
+    ("group", QNN, {"terms": [{"c": "1"}]},
+     "term 0 is not an object with keys 'b' and 'c'"),
+    ("group", QNN, {"terms": [3]}, "term 0 is not an object with keys 'b' and 'c'"),
+    ("group", QNN, {}, "the document has no list of terms"),
+    ("group", QNN, {"terms": 5}, "the document has no list of terms"),
+])
+def test_json_rejects_a_malformed_document(kind, scalars, doc, message):
+    # float and boolean coefficients were read (0.1 as its binary value, 2.9
+    # as 2), and keys or terms of the wrong shape raised TypeError or KeyError
+    alg = {"gamma": GammaAlgebra(Gamma(Z3), scalars),
+           "group": GroupAlgebra(Z3, scalars),
+           "matrix": StandardAlgebra(StandardGroupoid(Z3, 2), scalars)}[kind]
+    with pytest.raises(ValueError) as info:
+        element_from_json(alg, {"basis": kind, **doc})
+    assert str(info.value) == message
+
+
 def test_matrix_to_json_sorts_terms():
     mat = MatrixAlgebra(GroupAlgebra(Z3, QNN), 2)
     X = mat.matrix_unit(2, 1) + mat.matrix_unit(1, 1)

@@ -146,6 +146,19 @@ def test_counting_identities(roster):
         assert ok, (name, witness)
 
 
+@pytest.mark.parametrize("spec", ["dihedral:9", "cyclic:18"])
+def test_lattice_functions_run_past_the_default_bound(spec):
+    # order 18 is past the default bound of 16: only the two subset walks
+    # are given a bound, and the lattice side stops only at the ceiling
+    G = make_group(spec)
+    enum = multiplicity_enumeration(G, bound=18)
+    census = stabilizer_census(G, bound=18)
+    rows = recursion_diff(G, enum)
+    assert len(rows) == 34 and all(row["equal"] for row in rows)
+    assert vertex_count_identity(G, enum, census) == (True, None)
+    assert coset_count_identity(G, census) == (True, None)
+
+
 def test_dimension_audit(roster):
     for name, G in roster:
         summary = decompose(G)
