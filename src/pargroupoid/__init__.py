@@ -50,7 +50,7 @@ _MODULE_OF = {
         "semiring": (
             "BOOL", "NAT", "QNN", "DeltaElement", "LawReport",
             "SemiringPropertyError", "SemiringSpec", "check_semiring_laws",
-            "delta_embed", "delta_of",
+            "delta_of",
         ),
         "structure": (
             "BlockDescriptor", "DecompositionSummary", "coset_count_identity",

@@ -768,30 +768,36 @@ def element_to_delta(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(dalg, {i: DeltaElement(c, S.zero) for i, c in x.coeffs.items()})
 
 
+def _pull_back(S, coeffs):
+    """Coefficients over delta_of(S) split into the values v - 0 of S, by
+    key, and the (key, pair) of every other coefficient, in dict order."""
+    out, outside = {}, []
+    for i, c in coeffs.items():
+        v = delta_canonical(S, c)
+        if v is None:
+            outside.append((i, c))
+        else:
+            out[i] = v
+    return out, outside
+
+
 def element_from_delta(x: AlgebraElement, base: SparseAlgebra
                        ) -> tuple[AlgebraElement | None, list[tuple[Any, DeltaElement]]]:
     """Pull an element over a ring of differences back to the base scalars.
 
     Returns (element, []) when every coefficient is a difference of the form
     v - 0, and (None, failures) otherwise; failures lists the offending
-    (basis object, difference pair) witnesses.
+    (basis object, difference pair) witnesses by basis index.
     """
     S = base.scalars
     dalg = base.with_scalars(delta_of(S))
     if x.algebra is not dalg:
         raise BasisMismatchError(
             f"element lives in {x.algebra!r}, not the difference variant of {base!r}")
-    out: dict[int, Any] = {}
-    failures: list[tuple[Any, DeltaElement]] = []
-    for i, c in x.coeffs.items():
-        v = delta_canonical(S, c)
-        if v is None:
-            failures.append((base.basis[i], c))
-        else:
-            out[i] = v
-    if failures:
-        failures.sort(key=lambda pair: base.index_of(pair[0]))
-        return None, failures
+    out, outside = _pull_back(S, x.coeffs)
+    if outside:
+        # keys are distinct, so sorting never compares two pairs
+        return None, [(base.basis[i], c) for i, c in sorted(outside)]
     return AlgebraElement(base, out), []
 
 
@@ -813,13 +819,8 @@ def matrix_from_delta(X: MatrixElement, base: MatrixAlgebra
     cells: dict[tuple[int, int], AlgebraElement] = {}
     failures: list[tuple[Any, DeltaElement]] = []
     for (r, c), entry in X.cells.items():
-        out: dict[int, Any] = {}
-        for h, coeff in entry.coeffs.items():
-            v = delta_canonical(S, coeff)
-            if v is None:
-                failures.append(((h, r, c), coeff))
-            else:
-                out[h] = v
+        out, outside = _pull_back(S, entry.coeffs)
+        failures.extend(((h, r, c), pair) for h, pair in outside)
         cells[r, c] = AlgebraElement(base.entries, out)
     if failures:
         return None, failures

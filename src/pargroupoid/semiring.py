@@ -10,6 +10,9 @@ The ring of differences of an additively cancellative semiring S is built from
 unreduced pairs (pos, neg) standing for pos - neg; two pairs are equal when the
 cross sums agree. delta_of(S) packages that ring as another SemiringSpec, so
 every structure that is generic over a SemiringSpec works over S^D unchanged.
+It is the one definition of the arithmetic of differences: its add, mul, eq,
+neg, try_sub, fmt, parse and mul_inverse are closures over the operations of
+S, and delta_canonical is the one membership test back into S.
 """
 
 from __future__ import annotations
@@ -358,39 +361,11 @@ class DeltaElement:
     """Formal difference pos - neg of two carrier values, kept unreduced.
 
     Structural equality of the pairs is finer than equality in the ring of
-    differences; semantic equality goes through delta_eq / the spec's eq.
+    differences; semantic equality goes through the eq of delta_of(S).
     """
 
     pos: Any
     neg: Any
-
-
-def delta_embed(S: SemiringSpec, a) -> DeltaElement:
-    """Embed a carrier value of S into the ring of differences of S."""
-    if not S.claims_additively_cancellative:
-        raise SemiringPropertyError(
-            f"{S.name} does not declare additive cancellation; "
-            "its ring of differences would collapse")
-    return DeltaElement(a, S.zero)
-
-
-def delta_add(S: SemiringSpec, x: DeltaElement, y: DeltaElement) -> DeltaElement:
-    return DeltaElement(S.add(x.pos, y.pos), S.add(x.neg, y.neg))
-
-
-def delta_mul(S: SemiringSpec, x: DeltaElement, y: DeltaElement) -> DeltaElement:
-    return DeltaElement(
-        S.add(S.mul(x.pos, y.pos), S.mul(x.neg, y.neg)),
-        S.add(S.mul(x.pos, y.neg), S.mul(x.neg, y.pos)))
-
-
-def delta_neg(S: SemiringSpec, x: DeltaElement) -> DeltaElement:
-    return DeltaElement(x.neg, x.pos)
-
-
-def delta_eq(S: SemiringSpec, x: DeltaElement, y: DeltaElement) -> bool:
-    """(a,b) = (c,d) exactly when a + d = b + c in S."""
-    return S.eq(S.add(x.pos, y.neg), S.add(x.neg, y.pos))
 
 
 def delta_canonical(S: SemiringSpec, x: DeltaElement):
@@ -404,20 +379,59 @@ def delta_canonical(S: SemiringSpec, x: DeltaElement):
     return S.try_sub(x.pos, x.neg)
 
 
-def _delta_fmt(S: SemiringSpec) -> Callable[[DeltaElement], str]:
-    def fmt(d: DeltaElement) -> str:
-        if S.try_sub is not None:
-            v = S.try_sub(d.pos, d.neg)
+@cache
+def delta_of(S: SemiringSpec) -> SemiringSpec:
+    """The ring of differences of S, packaged as a SemiringSpec.
+
+    Values are DeltaElement pairs over S, stored unreduced; equality is the
+    cross-sum comparison. Requires S to declare additive cancellation. Each
+    operation is a closure over the operations of S.
+    """
+    if not S.claims_additively_cancellative:
+        raise SemiringPropertyError(
+            f"{S.name} does not declare additive cancellation; "
+            "its ring of differences would collapse")
+    add, mul, eq, sub = S.add, S.mul, S.eq, S.try_sub
+    zero = DeltaElement(S.zero, S.zero)
+    one = DeltaElement(S.one, S.zero)
+
+    def plus(x: DeltaElement, y: DeltaElement) -> DeltaElement:
+        return DeltaElement(add(x.pos, y.pos), add(x.neg, y.neg))
+
+    def times(x: DeltaElement, y: DeltaElement) -> DeltaElement:
+        return DeltaElement(add(mul(x.pos, y.pos), mul(x.neg, y.neg)),
+                            add(mul(x.pos, y.neg), mul(x.neg, y.pos)))
+
+    def negate(x: DeltaElement) -> DeltaElement:
+        return DeltaElement(x.neg, x.pos)
+
+    def equal(x: DeltaElement, y: DeltaElement) -> bool:
+        # (a, b) = (c, d) exactly when a + d = b + c in S
+        return eq(add(x.pos, y.neg), add(x.neg, y.pos))
+
+    def minus(x: DeltaElement, y: DeltaElement) -> DeltaElement:
+        # x + (-y), defined for every pair
+        return DeltaElement(add(x.pos, y.neg), add(x.neg, y.pos))
+
+    def signed(x: DeltaElement) -> tuple[bool, Any] | None:
+        """(False, v) when x = v and (True, v) when x = -v, for v in S; None
+        when S decides neither difference."""
+        if sub is not None:
+            v = sub(x.pos, x.neg)
             if v is not None:
-                return S.fmt(v)
-            w = S.try_sub(d.neg, d.pos)
-            if w is not None:
-                return f"-{S.fmt(w)}"
-        return f"({S.fmt(d.pos)}|{S.fmt(d.neg)})"
-    return fmt
+                return False, v
+            v = sub(x.neg, x.pos)
+            if v is not None:
+                return True, v
+        return None
 
+    def fmt(x: DeltaElement) -> str:
+        sv = signed(x)
+        if sv is None:
+            return f"({S.fmt(x.pos)}|{S.fmt(x.neg)})"
+        negative, v = sv
+        return f"-{S.fmt(v)}" if negative else S.fmt(v)
 
-def _delta_parse(S: SemiringSpec) -> Callable[[str], DeltaElement]:
     def parse(s: str) -> DeltaElement:
         if S.parse is None:
             raise SemiringPropertyError(f"{S.name} has no parser")
@@ -427,42 +441,17 @@ def _delta_parse(S: SemiringSpec) -> Callable[[str], DeltaElement]:
         if s.startswith("-"):
             return DeltaElement(S.zero, S.parse(s[1:]))
         return DeltaElement(S.parse(s), S.zero)
-    return parse
 
-
-def _delta_mul_inverse(S: SemiringSpec):
-    if S.mul_inverse is None or S.try_sub is None:
-        return None
-
-    def inverse(d: DeltaElement) -> DeltaElement | None:
-        v = S.try_sub(d.pos, d.neg)
-        if v is not None:
-            if S.is_zero(v):
-                return None
-            inv = S.mul_inverse(v)
-            return None if inv is None else DeltaElement(inv, S.zero)
-        w = S.try_sub(d.neg, d.pos)
-        if w is None or S.is_zero(w):
+    def inverse(x: DeltaElement) -> DeltaElement | None:
+        sv = signed(x)
+        if sv is None or S.is_zero(sv[1]):
             return None
-        inv = S.mul_inverse(w)
-        return None if inv is None else DeltaElement(S.zero, inv)
+        negative, v = sv
+        inv = S.mul_inverse(v)
+        if inv is None:
+            return None
+        return DeltaElement(S.zero, inv) if negative else DeltaElement(inv, S.zero)
 
-    return inverse
-
-
-@cache
-def delta_of(S: SemiringSpec) -> SemiringSpec:
-    """The ring of differences of S, packaged as a SemiringSpec.
-
-    Values are DeltaElement pairs over S, stored unreduced; equality is the
-    cross-sum comparison. Requires S to declare additive cancellation.
-    """
-    if not S.claims_additively_cancellative:
-        raise SemiringPropertyError(
-            f"{S.name} does not declare additive cancellation; "
-            "its ring of differences would collapse")
-    zero = DeltaElement(S.zero, S.zero)
-    one = DeltaElement(S.one, S.zero)
     prefix = (zero, one, DeltaElement(S.zero, S.one)) + tuple(
         DeltaElement(v, S.zero) for v in S.sample_prefix if not S.is_zero(v))
     sample = None
@@ -471,21 +460,21 @@ def delta_of(S: SemiringSpec) -> SemiringSpec:
         sample = lambda rng: DeltaElement(base_sample(rng), base_sample(rng))
     return SemiringSpec(
         name=f"{S.name}-delta",
-        add=lambda x, y: delta_add(S, x, y),
-        mul=lambda x, y: delta_mul(S, x, y),
+        add=plus,
+        mul=times,
         zero=zero,
         one=one,
-        eq=lambda x, y: delta_eq(S, x, y),
+        eq=equal,
         # (p, n) = (0, 0) exactly when p + 0 = n + 0, that is when p = n
-        is_zero=lambda x: S.eq(x.pos, x.neg),
+        is_zero=lambda x: eq(x.pos, x.neg),
         claims_additively_cancellative=True,
         claims_semifield=S.claims_semifield,
-        mul_inverse=_delta_mul_inverse(S),
+        mul_inverse=inverse if S.mul_inverse is not None and sub is not None else None,
         sample_prefix=prefix,
         sample=sample,
-        try_sub=lambda x, y: delta_add(S, x, delta_neg(S, y)),
-        neg=lambda x: delta_neg(S, x),
-        fmt=_delta_fmt(S),
-        parse=_delta_parse(S),
+        try_sub=minus,
+        neg=negate,
+        fmt=fmt,
+        parse=parse,
         base=S,
     )

@@ -228,13 +228,20 @@ def test_verify_extension_matches_golden_bytes(capsys, spec, scalar):
     assert out == (GOLDEN / f"verify_extension_{name}_{scalar}.json").read_text()
 
 
-@pytest.mark.parametrize("spec", ["sym:3", "dihedral:4"])
-def test_verify_all_matches_golden_bytes(capsys, spec):
+# qnn-delta runs the ring of differences end to end: the tensor suite's
+# per-term matrix products, the nested qnn-delta-delta ring of the delta
+# suite, the extension's pull-backs and the laws
+@pytest.mark.parametrize("spec, scalar", [
+    pytest.param("sym:3", "qnn", id="sym:3"),
+    pytest.param("dihedral:4", "qnn", id="dihedral:4"),
+    pytest.param("sym:3", "qnn-delta", id="sym:3-qnn-delta"),
+])
+def test_verify_all_matches_golden_bytes(capsys, spec, scalar):
     code, out, err = _run(capsys, ["verify", "--suite", "all",
-                                   "--group", spec, "--scalar", "qnn"])
+                                   "--group", spec, "--scalar", scalar])
     assert code == 0 and err == ""
     name = spec.replace(":", "")
-    assert out == (GOLDEN / f"verify_all_{name}_qnn.json").read_text()
+    assert out == (GOLDEN / f"verify_all_{name}_{scalar}.json").read_text()
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -42,7 +42,7 @@ PUBLIC = {
     "semiring": (
         "BOOL", "NAT", "QNN", "DeltaElement", "LawReport",
         "SemiringPropertyError", "SemiringSpec", "check_semiring_laws",
-        "delta_embed", "delta_of",
+        "delta_of",
     ),
     "structure": (
         "BlockDescriptor", "DecompositionSummary", "coset_count_identity",

@@ -16,12 +16,7 @@ from pargroupoid.semiring import (
     SemiringPropertyError,
     SemiringSpec,
     check_semiring_laws,
-    delta_add,
     delta_canonical,
-    delta_embed,
-    delta_eq,
-    delta_mul,
-    delta_neg,
     delta_of,
 )
 
@@ -74,16 +69,19 @@ def _value(d: DeltaElement) -> Fraction:
 
 @given(nonneg, nonneg, nonneg, nonneg)
 def test_delta_eq_is_cross_sum(a, b, c, d):
+    D = delta_of(QNN)
     x, y = DeltaElement(a, b), DeltaElement(c, d)
-    assert delta_eq(QNN, x, y) == (_value(x) == _value(y))
+    assert D.eq(x, y) == (_value(x) == _value(y))
 
 
 @given(nonneg, nonneg, nonneg, nonneg)
 def test_delta_add_mul_match_rationals(a, b, c, d):
+    D = delta_of(QNN)
     x, y = DeltaElement(a, b), DeltaElement(c, d)
-    assert _value(delta_add(QNN, x, y)) == _value(x) + _value(y)
-    assert _value(delta_mul(QNN, x, y)) == _value(x) * _value(y)
-    assert _value(delta_neg(QNN, x)) == -_value(x)
+    assert _value(D.add(x, y)) == _value(x) + _value(y)
+    assert _value(D.mul(x, y)) == _value(x) * _value(y)
+    assert _value(D.neg(x)) == -_value(x)
+    assert _value(D.try_sub(x, y)) == _value(x) - _value(y)
 
 
 @given(nonneg, nonneg)
@@ -95,15 +93,112 @@ def test_delta_canonical_is_membership(a, b):
         assert v is None
 
 
-@given(nonneg)
-def test_delta_embed_round_trip(a):
-    d = delta_embed(QNN, a)
-    assert delta_canonical(QNN, d) == a
+# ---------------------------------------------------------------------------
+# The operations of delta_of(S) against the free functions they replaced,
+# kept here as a test-only oracle: each closure must return the same pair,
+# value for value and type for type, so no unreduced pair can change.
+
+def oracle_add(S, x, y):
+    return DeltaElement(S.add(x.pos, y.pos), S.add(x.neg, y.neg))
 
 
-def test_delta_embed_needs_cancellation():
-    with pytest.raises(SemiringPropertyError):
-        delta_embed(BOOL, 1)
+def oracle_mul(S, x, y):
+    return DeltaElement(
+        S.add(S.mul(x.pos, y.pos), S.mul(x.neg, y.neg)),
+        S.add(S.mul(x.pos, y.neg), S.mul(x.neg, y.pos)))
+
+
+def oracle_neg(S, x):
+    return DeltaElement(x.neg, x.pos)
+
+
+def oracle_eq(S, x, y):
+    return S.eq(S.add(x.pos, y.neg), S.add(x.neg, y.pos))
+
+
+def oracle_try_sub(S, x, y):
+    return oracle_add(S, x, oracle_neg(S, y))
+
+
+def oracle_fmt(S, d):
+    if S.try_sub is not None:
+        v = S.try_sub(d.pos, d.neg)
+        if v is not None:
+            return S.fmt(v)
+        w = S.try_sub(d.neg, d.pos)
+        if w is not None:
+            return f"-{S.fmt(w)}"
+    return f"({S.fmt(d.pos)}|{S.fmt(d.neg)})"
+
+
+def oracle_parse(S, s):
+    if "|" in s:
+        p, n = s.split("|", 1)
+        return DeltaElement(S.parse(p.lstrip("(")), S.parse(n.rstrip(")")))
+    if s.startswith("-"):
+        return DeltaElement(S.zero, S.parse(s[1:]))
+    return DeltaElement(S.parse(s), S.zero)
+
+
+def oracle_mul_inverse(S, d):
+    v = S.try_sub(d.pos, d.neg)
+    if v is not None:
+        if S.is_zero(v):
+            return None
+        inv = S.mul_inverse(v)
+        return None if inv is None else DeltaElement(inv, S.zero)
+    w = S.try_sub(d.neg, d.pos)
+    if w is None or S.is_zero(w):
+        return None
+    inv = S.mul_inverse(w)
+    return None if inv is None else DeltaElement(S.zero, inv)
+
+
+def _same(a, b) -> bool:
+    """Equal and of the same type, down through nested pairs."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, DeltaElement):
+        return _same(a.pos, b.pos) and _same(a.neg, b.neg)
+    return a == b
+
+
+def _pairs(values):
+    return st.builds(DeltaElement, values, values)
+
+
+# QNN values mix ints, as the constants 0 and 1 are, with Fractions
+qnn_values = st.one_of(st.integers(min_value=0, max_value=50),
+                       st.fractions(min_value=0, max_value=50, max_denominator=12))
+nat_values = st.integers(min_value=0, max_value=10 ** 6)
+BASE_VALUES = [pytest.param(S, values, id=S.name)
+               for S, values in ((QNN, qnn_values), (NAT, nat_values),
+                                 (delta_of(QNN), _pairs(qnn_values)))]
+
+
+@pytest.mark.parametrize("S, values", BASE_VALUES)
+@given(data=st.data())
+def test_delta_of_closures_match_the_oracle(S, values, data):
+    D = delta_of(S)
+    pairs = _pairs(values)
+    x, y = data.draw(pairs), data.draw(pairs)
+    # reduced shapes too: v - 0, 0 - v, v - v and -1
+    z = data.draw(st.sampled_from([x, DeltaElement(x.pos, S.zero), DeltaElement(S.zero, x.pos),
+                                   DeltaElement(x.pos, x.pos), DeltaElement(S.zero, S.one)]))
+    assert _same(D.add(x, y), oracle_add(S, x, y))
+    assert _same(D.mul(x, y), oracle_mul(S, x, y))
+    assert _same(D.neg(x), oracle_neg(S, x))
+    assert _same(D.try_sub(x, y), oracle_try_sub(S, x, y))
+    assert _same(D.eq(x, y), oracle_eq(S, x, y))
+    assert _same(D.eq(x, x), oracle_eq(S, x, x))
+    for w in (x, z):
+        text = D.fmt(w)
+        assert _same(text, oracle_fmt(S, w))
+        assert _same(D.parse(text), oracle_parse(S, text))
+        assert _same(D.mul_inverse(w), oracle_mul_inverse(S, w))
+    # the pair shape, which fmt writes only when S cannot subtract
+    text = f"({S.fmt(x.pos)}|{S.fmt(x.neg)})"
+    assert _same(D.parse(text), oracle_parse(S, text))
 
 
 # ---------------------------------------------------------------------------
