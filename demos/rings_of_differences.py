@@ -10,6 +10,7 @@ stays non-negative.
 
 from pargroupoid import (
     BOOL,
+    DeltaElement,
     Gamma,
     GammaAlgebra,
     NAT,
@@ -31,7 +32,7 @@ def main() -> None:
 
     D = delta_of(NAT)
     print(f"\nring of differences over nat: {D.name}")
-    a, b = D.parse("(2|0)"), D.parse("(0|5)")
+    a, b = DeltaElement(2, 0), DeltaElement(0, 5)
     print(f"  (2|0) + (0|5) = {D.fmt(D.add(a, b))}   (equals 2 - 5 = -3)")
     print(f"  (2|0) * (0|5) = {D.fmt(D.mul(a, b))}")
 

@@ -43,7 +43,7 @@ _MODULE_OF = {
             "AlgebraElement", "BasisMismatchError", "DeltaPair", "GammaAlgebra",
             "GroupAlgebra", "MatrixAlgebra", "MatrixElement", "StandardAlgebra",
             "delta_extension", "delta_extension_inverse", "element_from_delta",
-            "element_from_json", "element_to_delta", "matrix_algebra_for",
+            "element_to_delta", "matrix_algebra_for",
             "matrix_from_delta", "matrix_to_delta", "standard_to_matrix",
             "tensor_phi", "tensor_varphi",
         ),

@@ -414,7 +414,7 @@ def _cmd_decompose(args) -> int:
         lines = [f"KGamma({d['group']}): {d['gamma_size']} basis arrows"]
         for b in d["blocks"]:
             lines.append(f"  {b['c']} x M_{b['m']}(KH), |H| = {b['H_order']}, "
-                         f"H = <{','.join(map(str, b['H_gens'])) or 'e'}>")
+                         f"H = <{','.join(map(G.label, b['H_gens'])) or 'e'}>")
         audit = d["audit"]
         lines.append(f"  audit: {audit['lhs']} = {audit['rhs']} "
                      f"{'ok' if audit['ok'] else 'MISMATCH'}")
@@ -513,27 +513,29 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default json)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for sampled checks (default 0xC0FFEE)")
-    common.add_argument("--bound", type=int, default=None,
-                        help="override the group-order bound "
-                             "(or set PARGROUPOID_BOUND)")
+    # action-check walks no subsets, so it takes no bound
+    bounded = argparse.ArgumentParser(add_help=False, parents=[common])
+    bounded.add_argument("--bound", type=int, default=None,
+                         help="override the group-order bound "
+                              "(or set PARGROUPOID_BOUND)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma", parents=[common],
+    p = sub.add_parser("gamma", parents=[bounded],
                        help="list the groupoid of a group")
     p.add_argument("--group", required=True, help="cyclic:n | klein4 | sym:n | "
                    "dihedral:n | table:<path>")
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=[bounded],
                        help="block decomposition of the groupoid semialgebra")
     p.add_argument("--group", required=True)
     p.add_argument("--scalar", choices=SCALAR_CHOICES, default=None,
                    help="also verify every component isomorphism over these "
                         "scalars")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[bounded],
                        help="run verification suites")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for sampled checks (default 0xC0FFEE)")
     p.add_argument("--group", required=True)
     p.add_argument("--suite", choices=("all",) + SUITE_ORDER, default="all")
     p.add_argument("--scalar", choices=SCALAR_CHOICES, default="qnn")

@@ -34,13 +34,6 @@ class BasisMismatchError(ValueError):
     """Arguments live in different algebras (or over different scalars)."""
 
 
-def _key_int(v) -> int:
-    """An index read from a JSON basis key; only a non-bool int is one."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"basis key entry {v!r} is not an integer")
-    return v
-
-
 class AlgebraElement:
     """A finitely supported scalar combination of basis indices.
 
@@ -110,13 +103,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def to_json(self) -> dict:
-        alg = self.algebra
-        fmt = alg.scalars.fmt
-        return {"basis": alg.kind,
-                "terms": [{"b": alg.basis_key(i), "c": fmt(self.coeffs[i])}
-                          for i in sorted(self.coeffs)]}
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -129,8 +115,6 @@ class AlgebraElement:
 
 class SparseAlgebra:
     """Shared machinery: basis indexing, element builders, scalar changes."""
-
-    kind: str = "abstract"
 
     def __init__(self, scalars: SemiringSpec, basis: tuple, unit_indices: tuple[int, ...]):
         self.scalars = scalars
@@ -214,20 +198,12 @@ class SparseAlgebra:
             self._variants[scalars] = variant
         return self._variants[scalars]
 
-    def basis_key(self, i: int):
-        raise NotImplementedError
-
-    def basis_from_key(self, key):
-        raise NotImplementedError
-
     def describe_basis(self, i: int) -> str:
         return repr(self.basis[i])
 
 
 class GammaAlgebra(SparseAlgebra):
     """The semialgebra of the groupoid of subset-element pairs."""
-
-    kind = "gamma"
 
     def __init__(self, gamma: Gamma, scalars: SemiringSpec):
         super().__init__(scalars, gamma.elements, gamma.unit_indices)
@@ -319,31 +295,12 @@ class GammaAlgebra(SparseAlgebra):
                 out[k] = sadd(out[k], c) if k in out else c
         return out
 
-    def basis_key(self, i: int):
-        el = self.basis[i]
-        return [[k for k in range(self.gamma.group.order) if el.mask >> k & 1], el.g]
-
-    def basis_from_key(self, key) -> GammaElement:
-        if not (isinstance(key, list) and len(key) == 2 and isinstance(key[0], list)):
-            raise ValueError(f"gamma key {key!r} is not [indices, g]")
-        indices, g = key
-        n = self.gamma.group.order
-        mask = 0
-        for k in map(_key_int, indices):
-            if not 0 <= k < n:
-                raise ValueError(
-                    f"subset index {k} is out of range for a group of order {n}")
-            mask |= 1 << k
-        return self.gamma.element(mask, _key_int(g))
-
     def describe_basis(self, i: int) -> str:
         return self.gamma.describe(self.basis[i])
 
 
 class GroupAlgebra(SparseAlgebra):
     """The semialgebra of a group; every basis product is defined."""
-
-    kind = "group"
 
     def __init__(self, group: FiniteGroup, scalars: SemiringSpec):
         super().__init__(scalars, tuple(group.elements()), (0,))
@@ -369,15 +326,6 @@ class GroupAlgebra(SparseAlgebra):
     def _position(self, b) -> int | None:
         return b if isinstance(b, int) and 0 <= b < self.group.order else None
 
-    def basis_key(self, i: int):
-        return i
-
-    def basis_from_key(self, key) -> int:
-        g = _key_int(key)
-        if not 0 <= g < self.group.order:
-            raise ValueError(f"group element index {g} out of range")
-        return g
-
     def describe_basis(self, i: int) -> str:
         return self.group.label(i)
 
@@ -388,8 +336,6 @@ class StandardAlgebra(SparseAlgebra):
     Basis order is h-major, then range index, then source index, so the index
     arithmetic in basis_product and in a triple's position is closed-form.
     """
-
-    kind = "matrix"
 
     def __init__(self, groupoid: StandardGroupoid, scalars: SemiringSpec):
         m = groupoid.m
@@ -418,19 +364,6 @@ class StandardAlgebra(SparseAlgebra):
             return (b.h * m + b.i - 1) * m + b.j - 1
         return None
 
-    def basis_key(self, i: int):
-        el = self.basis[i]
-        return [el.h, el.i, el.j]
-
-    def basis_from_key(self, key) -> StandardElement:
-        if not (isinstance(key, list) and len(key) == 3):
-            raise ValueError(f"triple key {key!r} is not [h, i, j]")
-        h, i, j = map(_key_int, key)
-        el = StandardElement(h, i, j)
-        if self._position(el) is None:
-            raise ValueError(f"({h},{i},{j}) is not a triple of {self!r}")
-        return el
-
     def describe_basis(self, i: int) -> str:
         el = self.basis[i]
         return f"({self.groupoid.H.label(el.h)},{el.i},{el.j})"
@@ -441,8 +374,6 @@ class StandardAlgebra(SparseAlgebra):
 
 class MatrixAlgebra:
     """m x m matrices over a group semialgebra, multiplied the usual way."""
-
-    kind = "matrix"
 
     def __init__(self, entries: GroupAlgebra, m: int):
         if m < 1:
@@ -619,15 +550,6 @@ class MatrixElement:
     @property
     def is_zero(self) -> bool:
         return not self.cells
-
-    def to_json(self) -> dict:
-        fmt = self.algebra.scalars.fmt
-        terms = []
-        for (r, c), entry in self.cells.items():
-            for h in sorted(entry.coeffs):
-                terms.append({"b": [h, r, c], "c": fmt(entry.coeffs[h])})
-        terms.sort(key=lambda t: (t["b"][0], t["b"][1], t["b"][2]))
-        return {"basis": "matrix", "terms": terms}
 
     def __repr__(self) -> str:
         span = range(1, self.algebra.m + 1)
@@ -825,25 +747,3 @@ def matrix_from_delta(X: MatrixElement, base: MatrixAlgebra
     if failures:
         return None, failures
     return MatrixElement(base, cells), []
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-
-def element_from_json(algebra: SparseAlgebra, doc: dict) -> AlgebraElement:
-    """Inverse of AlgebraElement.to_json for a known algebra; a document of
-    any other shape raises ValueError."""
-    if doc.get("basis") != algebra.kind:
-        raise ValueError(f"basis tag {doc.get('basis')!r} does not match {algebra.kind!r}")
-    parse = algebra.scalars.parse
-    if parse is None:
-        raise SemiringPropertyError(f"{algebra.scalars.name} has no coefficient parser")
-    terms = doc.get("terms")
-    if not isinstance(terms, list):
-        raise ValueError("the document has no list of terms")
-    pairs = []
-    for k, term in enumerate(terms):
-        if not isinstance(term, dict) or not {"b", "c"} <= term.keys():
-            raise ValueError(f"term {k} is not an object with keys 'b' and 'c'")
-        pairs.append((algebra.basis_from_key(term["b"]), parse(term["c"])))
-    return algebra.element(pairs)

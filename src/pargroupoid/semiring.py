@@ -11,8 +11,8 @@ unreduced pairs (pos, neg) standing for pos - neg; two pairs are equal when the
 cross sums agree. delta_of(S) packages that ring as another SemiringSpec, so
 every structure that is generic over a SemiringSpec works over S^D unchanged.
 It is the one definition of the arithmetic of differences: its add, mul, eq,
-neg, try_sub, fmt, parse and mul_inverse are closures over the operations of
-S, and delta_canonical is the one membership test back into S.
+neg, try_sub, fmt and mul_inverse are closures over the operations of S, and
+delta_canonical is the one membership test back into S.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class SemiringSpec:
     try_sub: Callable[[Any, Any], Any] | None = field(default=None, repr=False)
     neg: Callable[[Any], Any] | None = field(default=None, repr=False)
     fmt: Callable[[Any], str] = field(default=str, repr=False)
-    parse: Callable[[str], Any] | None = field(default=None, repr=False)
     base: "SemiringSpec | None" = field(default=None, repr=False)
     is_zero: Callable[[Any], bool] | None = field(default=None, repr=False)
     dot: Callable[[Iterable[tuple[Any, Any]]], Any] | None = field(default=None, repr=False)
@@ -247,30 +246,6 @@ def check_semiring_laws(S: SemiringSpec, seed: int = DEFAULT_SEED) -> LawReport:
 # ---------------------------------------------------------------------------
 # Concrete scalar systems.
 
-def _coefficient_text(s: str) -> str:
-    """A coefficient read from JSON, where `fmt` writes only strings."""
-    if not isinstance(s, str):
-        raise ValueError(f"coefficient {s!r} is not a string")
-    return s
-
-
-def _nonneg_fraction(s: str) -> Fraction:
-    try:
-        v = Fraction(_coefficient_text(s))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
-    if v < 0:
-        raise ValueError(f"not a non-negative rational: {s!r}")
-    return v
-
-
-def _nonneg_int(s: str) -> int:
-    v = int(_coefficient_text(s))
-    if v < 0:
-        raise ValueError(f"not a natural number: {s!r}")
-    return v
-
-
 def _rational_dot(pairs: Iterable[tuple[Any, Any]]):
     """The exact sum of a * b over rational pairs, normalised once.
 
@@ -316,7 +291,6 @@ QNN = SemiringSpec(
                    Fraction(2, 3), Fraction(5, 2)),
     sample=lambda rng: Fraction(rng.randrange(0, 240), rng.randrange(1, 24)),
     try_sub=lambda a, b: a - b if a >= b else None,
-    parse=_nonneg_fraction,
     dot=_rational_dot,
 )
 
@@ -335,7 +309,6 @@ NAT = SemiringSpec(
     sample_prefix=(0, 1, 2, 3, 5, 8),
     sample=lambda rng: rng.randrange(0, 1000),
     try_sub=lambda a, b: a - b if a >= b else None,
-    parse=_nonneg_int,
 )
 
 #: Booleans with 1 + 1 = 1. The stock non-cancellative example: 1 + 1 = 0 + 1.
@@ -432,16 +405,6 @@ def delta_of(S: SemiringSpec) -> SemiringSpec:
         negative, v = sv
         return f"-{S.fmt(v)}" if negative else S.fmt(v)
 
-    def parse(s: str) -> DeltaElement:
-        if S.parse is None:
-            raise SemiringPropertyError(f"{S.name} has no parser")
-        if "|" in _coefficient_text(s):
-            p, n = s.split("|", 1)
-            return DeltaElement(S.parse(p.lstrip("(")), S.parse(n.rstrip(")")))
-        if s.startswith("-"):
-            return DeltaElement(S.zero, S.parse(s[1:]))
-        return DeltaElement(S.parse(s), S.zero)
-
     def inverse(x: DeltaElement) -> DeltaElement | None:
         sv = signed(x)
         if sv is None or S.is_zero(sv[1]):
@@ -475,6 +438,5 @@ def delta_of(S: SemiringSpec) -> SemiringSpec:
         try_sub=minus,
         neg=negate,
         fmt=fmt,
-        parse=parse,
         base=S,
     )

@@ -210,6 +210,23 @@ def test_decompose_with_a_scalar_prints_the_same_bytes(capsys, spec, scalar):
     assert checked == plain and plain[0] == 0
 
 
+def test_decompose_text_names_isotropy_generators_by_label(tmp_path, capsys):
+    # text renders each generator by its label and the trivial group as <e>,
+    # as the block demo does; the JSON keeps indices
+    doc = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+           "labels": ["1", "r", "r2"]}
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(doc))
+    spec = f"table:{path}"
+    code, out, _ = _run(capsys, ["decompose", "--group", spec, "--format", "text"])
+    assert code == 0
+    assert out.splitlines()[1:4] == ["  1 x M_1(KH), |H| = 1, H = <e>",
+                                     "  1 x M_2(KH), |H| = 1, H = <e>",
+                                     "  1 x M_1(KH), |H| = 3, H = <r>"]
+    code, doc, _ = _run_json(capsys, ["decompose", "--group", spec])
+    assert code == 0 and [b["H_gens"] for b in doc["blocks"]] == [[], [], [1]]
+
+
 def test_verify_structure_matches_golden_bytes(capsys):
     code, out, _ = _run(capsys, ["verify", "--suite", "structure",
                                  "--group", "dihedral:4", "--seed", "5"])
@@ -235,6 +252,7 @@ def test_verify_extension_matches_golden_bytes(capsys, spec, scalar):
     pytest.param("sym:3", "qnn", id="sym:3"),
     pytest.param("dihedral:4", "qnn", id="dihedral:4"),
     pytest.param("sym:3", "qnn-delta", id="sym:3-qnn-delta"),
+    pytest.param("sym:3", "nat", id="sym:3-nat"),
 ])
 def test_verify_all_matches_golden_bytes(capsys, spec, scalar):
     code, out, err = _run(capsys, ["verify", "--suite", "all",
@@ -337,6 +355,14 @@ def test_usage_errors_exit_2(capsys):
     assert _run(capsys, ["no-such-command"])[0] == 2
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["--help"])[0] == 0
+    # each command takes only the flags it reads: --seed only verify, and
+    # --bound every command but action-check
+    for argv in (["gamma", "--group", "cyclic:2", "--seed", "3"],
+                 ["decompose", "--group", "klein4", "--seed", "3"],
+                 ["action-check", "--file", "doc.json", "--seed", "3"],
+                 ["action-check", "--file", "doc.json", "--bound", "3"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 def test_bad_group_spec_exits_2(capsys):

@@ -24,7 +24,6 @@ from pargroupoid.semialgebra import (
     delta_extension,
     delta_extension_inverse,
     element_from_delta,
-    element_from_json,
     element_to_delta,
     matrix_algebra_for,
     matrix_from_delta,
@@ -381,16 +380,6 @@ def test_basis_membership(alg, misses):
             with pytest.raises(ValueError) as info:
                 lookup(b)
             assert str(info.value) == message
-
-
-def test_out_of_range_keys_are_rejected():
-    std = StandardAlgebra(StandardGroupoid(make_group("cyclic:2"), 3), NAT)
-    for key in ([2, 1, 1], [0, 0, 1], [0, 1, 4]):
-        with pytest.raises(ValueError) as info:
-            std.basis_from_key(key)
-        assert str(info.value) == f"({key[0]},{key[1]},{key[2]}) is not a triple of {std!r}"
-    with pytest.raises(ValueError, match="out of range"):
-        GroupAlgebra(Z3, NAT).basis_from_key(3)
 
 
 def test_cross_algebra_operations_rejected():
@@ -811,122 +800,3 @@ def test_matrix_membership_pullback():
     back, failures = matrix_from_delta(bad, mat)
     assert back is None
     assert failures[0][0] == (0, 1, 2)  # entry h=e at row 1, col 2
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-
-def test_json_round_trip_gamma_basis():
-    alg = GammaAlgebra(Gamma(Z3), QNN)
-    x = alg.element([(alg.basis[i], Fraction(i + 1, 3)) for i in (0, 4, 7)])
-    doc = x.to_json()
-    assert doc["basis"] == "gamma"
-    assert element_from_json(alg, doc) == x
-
-
-def test_json_round_trip_group_and_matrix_bases():
-    galg = GroupAlgebra(Z3, QNN)
-    x = galg.element([(0, Fraction(1, 2)), (2, Fraction(7))])
-    assert element_from_json(galg, x.to_json()) == x
-
-    std = StandardAlgebra(StandardGroupoid(Z3, 2), QNN)
-    y = std.element([(std.basis[3], Fraction(2, 5))])
-    doc = y.to_json()
-    assert doc["basis"] == "matrix"
-    assert element_from_json(std, doc) == y
-
-
-def test_json_round_trip_over_differences():
-    dalg = Z3_NAT.with_scalars(delta_of(NAT))
-    x = dalg.element([(dalg.basis[0], DeltaElement(1, 3))])
-    assert element_from_json(dalg, x.to_json()) == x
-
-
-def test_json_rejects_wrong_basis_tag():
-    alg = GammaAlgebra(Gamma(Z3), QNN)
-    galg = GroupAlgebra(Z3, QNN)
-    doc = galg.one().to_json()
-    with pytest.raises(ValueError):
-        element_from_json(alg, doc)
-
-
-@pytest.mark.parametrize("index", [10**12, -1])
-def test_json_rejects_a_subset_index_outside_the_group(index):
-    # the index is checked before it is shifted, so 10^12 builds no
-    # 10^12-bit mask and the message stays one line
-    alg = GammaAlgebra(Gamma(Z3), QNN)
-    doc = {"basis": "gamma", "terms": [{"b": [[0, index], 0], "c": "1"}]}
-    with pytest.raises(ValueError) as info:
-        element_from_json(alg, doc)
-    assert str(info.value) == (
-        f"subset index {index} is out of range for a group of order 3")
-
-
-@pytest.mark.parametrize("kind, key, bad", [
-    ("gamma", [[0, 2.9], 0], "2.9"),
-    ("gamma", [[0, 1], True], "True"),
-    ("gamma", [["1"], 0], "'1'"),
-    ("group", 2.9, "2.9"),
-    ("group", True, "True"),
-    ("group", "1", "'1'"),
-    ("matrix", [1.5, True, 2.2], "1.5"),
-    ("matrix", [0, True, 1], "True"),
-    ("matrix", [0, "1", 1], "'1'"),
-])
-def test_json_rejects_a_basis_key_entry_that_is_not_an_int(kind, key, bad):
-    # a float used to truncate (2.9 read as 2), and numeric strings and JSON
-    # booleans passed as the ints they convert to
-    alg = {"gamma": GammaAlgebra(Gamma(Z3), QNN),
-           "group": GroupAlgebra(Z3, QNN),
-           "matrix": StandardAlgebra(StandardGroupoid(Z3, 2), QNN)}[kind]
-    doc = {"basis": kind, "terms": [{"b": key, "c": "1"}]}
-    with pytest.raises(ValueError) as info:
-        element_from_json(alg, doc)
-    assert str(info.value) == f"basis key entry {bad} is not an integer"
-
-
-@pytest.mark.parametrize("scalars, coeff", [
-    (QNN, "1/0"), (delta_of(QNN), "1/0"), (delta_of(QNN), "(1|2/0)"),
-    (delta_of(QNN), "-3/0")])
-def test_json_rejects_a_zero_denominator(scalars, coeff):
-    alg = GroupAlgebra(Z3, scalars)
-    doc = {"basis": "group", "terms": [{"b": 0, "c": coeff}]}
-    with pytest.raises(ValueError, match="zero denominator in '[0-9]+/0'"):
-        element_from_json(alg, doc)
-
-
-@pytest.mark.parametrize("kind, scalars, doc, message", [
-    ("group", QNN, {"terms": [{"b": 0, "c": 0.1}]}, "coefficient 0.1 is not a string"),
-    ("group", QNN, {"terms": [{"b": 0, "c": True}]}, "coefficient True is not a string"),
-    ("group", NAT, {"terms": [{"b": 0, "c": 2.9}]}, "coefficient 2.9 is not a string"),
-    ("group", delta_of(QNN), {"terms": [{"b": 0, "c": 2}]},
-     "coefficient 2 is not a string"),
-    ("gamma", QNN, {"terms": [{"b": 5, "c": "1"}]}, "gamma key 5 is not [indices, g]"),
-    ("gamma", QNN, {"terms": [{"b": None, "c": "1"}]},
-     "gamma key None is not [indices, g]"),
-    ("gamma", QNN, {"terms": [{"b": [[0]], "c": "1"}]},
-     "gamma key [[0]] is not [indices, g]"),
-    ("matrix", QNN, {"terms": [{"b": 5, "c": "1"}]}, "triple key 5 is not [h, i, j]"),
-    ("group", QNN, {"terms": [{"c": "1"}]},
-     "term 0 is not an object with keys 'b' and 'c'"),
-    ("group", QNN, {"terms": [3]}, "term 0 is not an object with keys 'b' and 'c'"),
-    ("group", QNN, {}, "the document has no list of terms"),
-    ("group", QNN, {"terms": 5}, "the document has no list of terms"),
-])
-def test_json_rejects_a_malformed_document(kind, scalars, doc, message):
-    # float and boolean coefficients were read (0.1 as its binary value, 2.9
-    # as 2), and keys or terms of the wrong shape raised TypeError or KeyError
-    alg = {"gamma": GammaAlgebra(Gamma(Z3), scalars),
-           "group": GroupAlgebra(Z3, scalars),
-           "matrix": StandardAlgebra(StandardGroupoid(Z3, 2), scalars)}[kind]
-    with pytest.raises(ValueError) as info:
-        element_from_json(alg, {"basis": kind, **doc})
-    assert str(info.value) == message
-
-
-def test_matrix_to_json_sorts_terms():
-    mat = MatrixAlgebra(GroupAlgebra(Z3, QNN), 2)
-    X = mat.matrix_unit(2, 1) + mat.matrix_unit(1, 1)
-    doc = X.to_json()
-    assert doc["basis"] == "matrix"
-    assert doc["terms"] == [{"b": [0, 1, 1], "c": "1"}, {"b": [0, 2, 1], "c": "1"}]
