@@ -14,7 +14,7 @@ def show(spec: str) -> None:
     summary = decompose(G)
     print(f"{G.name}:")
     for b in summary.blocks:
-        gens = ",".join(G.label(g) for g in b.H_gens()) or "e"
+        gens = ",".join(G.label(g) for g in b.H_gens()) or G.label(0)
         print(f"  {b.c} x M_{b.m}(KH)  with H = <{gens}>, |H| = {b.H_order}")
     ok = "ok" if summary.audit_ok else "MISMATCH"
     print(f"  audit: {summary.audit_lhs} = {summary.audit_rhs}  {ok}")

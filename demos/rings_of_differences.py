@@ -26,7 +26,7 @@ from pargroupoid import (
 def main() -> None:
     for S in (QNN, NAT, BOOL):
         report = check_semiring_laws(S)
-        canc = next(c for c in report.laws if c.law == "additively_cancellative")
+        canc = report.check("additively_cancellative")
         verdict = "cancellative" if canc.passed else f"NOT cancellative, witness {canc.witness}"
         print(f"{S.name}: {verdict}")
 

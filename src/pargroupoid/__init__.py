@@ -33,11 +33,11 @@ _MODULE_OF = {
             "VerificationError", "unit_components",
         ),
         "partial_rep": (
-            "AxiomCheck", "AxiomReport", "ExtensionMembershipError", "GammaHom",
-            "PartialAction", "PartialRepMap", "epsilon", "extend_to_gamma_hom",
-            "lambda_p", "partial_action_from_json", "regular_representation",
-            "span_generation", "verify_factorization", "verify_kpar_relations",
-            "verify_partial_action", "verify_partial_rep",
+            "ExtensionMembershipError", "GammaHom", "PartialAction",
+            "PartialRepMap", "epsilon", "extend_to_gamma_hom", "lambda_p",
+            "partial_action_from_json", "regular_representation", "span_generation",
+            "verify_factorization", "verify_kpar_relations", "verify_partial_action",
+            "verify_partial_rep",
         ),
         "semialgebra": (
             "AlgebraElement", "BasisMismatchError", "DeltaPair", "GammaAlgebra",
@@ -48,9 +48,9 @@ _MODULE_OF = {
             "tensor_phi", "tensor_varphi",
         ),
         "semiring": (
-            "BOOL", "NAT", "QNN", "DeltaElement", "LawReport",
-            "SemiringPropertyError", "SemiringSpec", "check_semiring_laws",
-            "delta_of",
+            "AxiomCheck", "AxiomReport", "BOOL", "NAT", "QNN", "DeltaElement",
+            "LawReport", "SemiringPropertyError", "SemiringSpec",
+            "check_semiring_laws", "delta_of",
         ),
         "structure": (
             "BlockDescriptor", "DecompositionSummary", "coset_count_identity",

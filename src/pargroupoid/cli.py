@@ -44,8 +44,7 @@ from .groupoid import Gamma, StandardGroupoid, VerificationError, arrow_rows, ga
 # imported inside the commands and suites that run them: without a bytecode
 # cache every module loaded is compiled again, and `gamma` needs none of them.
 if TYPE_CHECKING:
-    from .partial_rep import AxiomReport
-    from .semiring import SemiringSpec
+    from .semiring import AxiomReport, SemiringSpec
 
 SCALAR_CHOICES = ("qnn", "nat", "qnn-delta")
 SUITE_ORDER = ("laws", "assoc", "partialrep", "extension", "tensor", "delta",
@@ -123,13 +122,13 @@ def _suite_laws(G: FiniteGroup, S: SemiringSpec, seed: int,
     claimed = {"additively_cancellative": S.claims_additively_cancellative,
                "semifield": S.claims_semifield}
     checks = []
-    for c in report.laws:
-        if c.law in claimed and not claimed[c.law]:
+    for c in report.checks:
+        if c.name in claimed and not claimed[c.name]:
             # measured but not claimed; the witness is informational
             note = "not claimed" + ("" if c.passed else "; counterexample shown")
-            checks.append(_check(c.law, True, c.witness, note))
+            checks.append(_check(c.name, True, c.witness, note))
         else:
-            checks.append(_check(c.law, c.passed, c.witness))
+            checks.append(_check(c.name, c.passed, c.witness))
     checks.append(_check("claims_consistent", report.claims_consistent,
                          "; ".join(report.claim_issues) or None,
                          note=f"laws measured {report.mode}"))
@@ -155,11 +154,8 @@ def _suite_assoc(G: FiniteGroup, S: SemiringSpec, seed: int,
         triples = ((basis_element(rng.randrange(n)), basis_element(rng.randrange(n)),
                     basis_element(rng.randrange(n))) for _ in range(1000))
         note = "1000 seeded basis triples"
-    witness = None
-    for x, y, z in triples:
-        if (x * y) * z != x * (y * z):
-            witness = (repr(x), repr(y), repr(z))
-            break
+    witness = next(((repr(x), repr(y), repr(z)) for x, y, z in triples
+                    if (x * y) * z != x * (y * z)), None)
     checks = [_check("associativity", witness is None, witness, note)]
     one = alg.one()
     unit_w = next((repr(x) for x in map(basis_element, range(n))
@@ -325,10 +321,8 @@ def _suite_structure(G: FiniteGroup, S: SemiringSpec, seed: int,
     # one enumeration and one census serve every check below
     enum = summary.multiplicities()
     census = stabilizer_census(G, bound)
-    ok, w = vertex_count_identity(G, enum, census)
-    checks.append(_check("vertex_count_identity", ok, w))
-    ok, w = coset_count_identity(G, census)
-    checks.append(_check("coset_count_identity", ok, w))
+    checks.append(_check("vertex_count_identity", *vertex_count_identity(G, enum, census)))
+    checks.append(_check("coset_count_identity", *coset_count_identity(G, census)))
     diff = recursion_diff(G, enum)
     mismatches = sum(1 for row in diff if not row["equal"])
     checks.append(_check(
@@ -414,7 +408,7 @@ def _cmd_decompose(args) -> int:
         lines = [f"KGamma({d['group']}): {d['gamma_size']} basis arrows"]
         for b in d["blocks"]:
             lines.append(f"  {b['c']} x M_{b['m']}(KH), |H| = {b['H_order']}, "
-                         f"H = <{','.join(map(G.label, b['H_gens'])) or 'e'}>")
+                         f"H = <{','.join(map(G.label, b['H_gens'])) or G.label(0)}>")
         audit = d["audit"]
         lines.append(f"  audit: {audit['lhs']} = {audit['rhs']} "
                      f"{'ok' if audit['ok'] else 'MISMATCH'}")
@@ -425,6 +419,17 @@ def _cmd_decompose(args) -> int:
 
     _emit(doc, args, render)
     return 0
+
+
+def _first_failure(checks: Iterable[dict]) -> int:
+    """Print the first failing check document to stderr and return the exit
+    code: 1 after a failure, 0 when every check passed."""
+    first = next((c for c in checks if not c["passed"]), None)
+    if first is None:
+        return 0
+    detail = first.get("witness") or first.get("note", "")
+    print(f"first failure: {first['name']}: {detail}".rstrip(), file=sys.stderr)
+    return 1
 
 
 def _render_suites(doc: dict) -> str:
@@ -457,13 +462,7 @@ def _cmd_verify(args) -> int:
         "passed": all(s["passed"] for s in suites),
     }
     _emit(doc, args, _render_suites)
-    if not doc["passed"]:
-        first = next(c for s in suites for c in s["checks"] if not c["passed"])
-        detail = first.get("witness") or first.get("note", "")
-        print(f"first failure: {first['name']}: {detail}".rstrip(),
-              file=sys.stderr)
-        return 1
-    return 0
+    return _first_failure(c for s in suites for c in s["checks"])
 
 
 def _cmd_action_check(args) -> int:
@@ -490,12 +489,7 @@ def _cmd_action_check(args) -> int:
         return "\n".join(lines) + "\n"
 
     _emit(doc, args, render)
-    if not report.passed:
-        first = report.failures[0]
-        print(f"first failure: {first.name}: {first.witness or first.note}",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _first_failure(doc["checks"])
 
 
 _COMMANDS = {

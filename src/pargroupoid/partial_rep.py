@@ -16,7 +16,9 @@ multiplicativity, compatibility with lambda_p, uniqueness via span
 generation) is verified rather than assumed.
 
 Partial actions on finite sets are the set-level shadow of the same idea and
-are verified against two equivalent axiom systems.
+are verified against two equivalent axiom systems. Every verifier returns an
+AxiomReport (from semiring) whose failing checks carry the first
+counterexample in a fixed search order.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from random import Random
 from typing import Any
 
@@ -47,7 +50,7 @@ from .semialgebra import (
     matrix_from_delta,
     matrix_to_delta,
 )
-from .semiring import SemiringSpec, delta_of
+from .semiring import AxiomCheck, AxiomReport, SemiringSpec, delta_of
 
 _RANK_PRIME = 2**31 - 1
 # The homomorphism check is exhaustive up to _PAIR_BUDGET basis pairs and
@@ -56,42 +59,6 @@ _RANK_PRIME = 2**31 - 1
 _PAIR_BUDGET = 2500
 _SAMPLED_PAIRS = 300
 _SPAN_LIMIT = 6
-
-
-# ---------------------------------------------------------------------------
-# Reports.
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    """One universally quantified check: its verdict and first counterexample."""
-
-    name: str
-    passed: bool
-    witness: tuple | None = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    subject: str
-    checks: tuple[AxiomCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def check(self, name: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(f"no check named {name!r} in report for {self.subject}")
-
-    @property
-    def failures(self) -> tuple[AxiomCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -240,61 +207,28 @@ def verify_partial_action(pa: PartialAction) -> AxiomReport:
     id_w = next(((x,) for x in sorted(D[0]) if A[0].get(x) != x), None)
     checks.append(AxiomCheck("identity_map", id_w is None, id_w))
 
-    overlap_w = None
-    for g in G.elements():
-        for h in G.elements():
-            lhs = {A[g][x] for x in D[inv(g)] & D[h]}
-            rhs = D[g] & D[G.mul(g, h)]
-            if lhs != rhs:
-                overlap_w = (G.label(g), G.label(h))
-                break
-        if overlap_w:
-            break
+    # every (g, h) with its product gh, g outermost, as the witnesses are sought
+    products = [(g, h, G.mul(g, h)) for g, h in product(G.elements(), repeat=2)]
+    overlap_w = next(((G.label(g), G.label(h)) for g, h, gh in products
+                      if {A[g][x] for x in D[inv(g)] & D[h]} != D[g] & D[gh]), None)
     checks.append(AxiomCheck("domain_compatibility", overlap_w is None, overlap_w))
 
-    comp_w = None
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            for x in sorted(D[inv(h)] & D[inv(gh)]):
-                y = A[h][x]
-                if y not in D[inv(g)] or A[g][y] != A[gh][x]:
-                    comp_w = (G.label(g), G.label(h), x)
-                    break
-            if comp_w:
-                break
-        if comp_w:
-            break
+    comp_w = next(((G.label(g), G.label(h), x) for g, h, gh in products
+                   for x in sorted(D[inv(h)] & D[inv(gh)])
+                   if A[h][x] not in D[inv(g)] or A[g][A[h][x]] != A[gh][x]), None)
     checks.append(AxiomCheck("composition", comp_w is None, comp_w))
 
     pa1_ok = dom_ok and id_w is None
     checks.append(AxiomCheck("pa_identity", pa1_ok, dom_w or id_w))
 
-    inv_w = None
-    for g in G.elements():
-        for x in sorted(D[inv(g)]):
-            if A[inv(g)].get(A[g][x]) != x:
-                inv_w = (G.label(g), x)
-                break
-        if inv_w:
-            break
+    inv_w = next(((G.label(g), x) for g in G.elements() for x in sorted(D[inv(g)])
+                  if A[inv(g)].get(A[g][x]) != x), None)
     checks.append(AxiomCheck("pa_inverse", inv_w is None, inv_w))
 
-    ext_w = None
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            for x in sorted(D[inv(h)]):
-                y = A[h][x]
-                if y not in D[inv(g)]:
-                    continue
-                if x not in D[inv(gh)] or A[gh][x] != A[g][y]:
-                    ext_w = (G.label(g), G.label(h), x)
-                    break
-            if ext_w:
-                break
-        if ext_w:
-            break
+    ext_w = next(((G.label(g), G.label(h), x) for g, h, gh in products
+                  for x in sorted(D[inv(h)])
+                  if A[h][x] in D[inv(g)]
+                  and (x not in D[inv(gh)] or A[gh][x] != A[g][A[h][x]])), None)
     checks.append(AxiomCheck("pa_extension", ext_w is None, ext_w))
 
     first = overlap_w is None and comp_w is None and pa1_ok
@@ -354,11 +288,8 @@ def verify_partial_rep(pi: PartialRepMap) -> AxiomReport:
         return cache[key]
 
     def first_pair(pred) -> tuple | None:
-        for g in G.elements():
-            for h in G.elements():
-                if not pred(g, h):
-                    return (G.label(g), G.label(h))
-        return None
+        return next(((G.label(g), G.label(h))
+                     for g, h in product(G.elements(), repeat=2) if not pred(g, h)), None)
 
     checks = [AxiomCheck("unit", im[0] == one, None if im[0] == one else (G.label(0),))]
     right_w = first_pair(
@@ -407,14 +338,8 @@ def verify_idempotents(pi: PartialRepMap) -> AxiomReport:
                          None if t[0] == one else (G.label(0),))]
     idem_w = next(((G.label(r),) for r in G.elements() if t[r] * t[r] != t[r]), None)
     checks.append(AxiomCheck("epsilon_idempotent", idem_w is None, idem_w))
-    comm_w = None
-    for r in G.elements():
-        for s in range(r + 1, G.order):
-            if t[r] * t[s] != t[s] * t[r]:
-                comm_w = (G.label(r), G.label(s))
-                break
-        if comm_w:
-            break
+    comm_w = next(((G.label(r), G.label(s)) for r, s in combinations(G.elements(), 2)
+                   if t[r] * t[s] != t[s] * t[r]), None)
     checks.append(AxiomCheck("epsilon_commuting", comm_w is None, comm_w))
     return AxiomReport(subject=f"idempotent table for {G.name}", checks=tuple(checks))
 
@@ -516,14 +441,11 @@ class GammaHom:
         checks = [AxiomCheck("multiplicative_basis", basis_w is None, basis_w, note)]
 
         rng = Random(seed + 1)
-        elem_w = None
         rounds = max(1, _SAMPLED_PAIRS // 10)
-        for _ in range(rounds):
-            x = dom.random_element(rng)
-            y = dom.random_element(rng)
-            if self.apply(x * y) != self.apply(x) * self.apply(y):
-                elem_w = (repr(x), repr(y))
-                break
+        samples = ((dom.random_element(rng), dom.random_element(rng))
+                   for _ in range(rounds))
+        elem_w = next(((repr(x), repr(y)) for x, y in samples
+                       if self.apply(x * y) != self.apply(x) * self.apply(y)), None)
         checks.append(AxiomCheck("multiplicative_elements", elem_w is None, elem_w,
                                  f"{rounds} random element pairs, seed {seed + 1:#x}"))
         return AxiomReport(subject="homomorphism property", checks=tuple(checks))
@@ -716,19 +638,14 @@ def _span_check(name: str, span: SpanReport) -> AxiomCheck:
                       note=f"rank {span.rank} of {span.gamma_size} via {span.method}")
 
 
-@dataclass(frozen=True)
-class FactorizationReport(AxiomReport):
-    span: SpanReport | None = None
-
-
 def verify_factorization(pi: PartialRepMap, pi_tilde: GammaHom, *,
-                         seed: int = DEFAULT_SEED) -> FactorizationReport:
+                         seed: int = DEFAULT_SEED) -> AxiomReport:
     """Confirm that the extension is the factorization it claims to be.
 
     Checks that the extension is unital, multiplicative (exhaustively or
     sampled, per the homomorphism report), and composes with the canonical
     representation back to the original map; for groups small enough the span
-    test pins uniqueness. The report is truthy exactly when everything passed.
+    test pins uniqueness.
     """
     if pi_tilde.target is not pi.algebra:
         raise BasisMismatchError(
@@ -743,12 +660,9 @@ def verify_factorization(pi: PartialRepMap, pi_tilde: GammaHom, *,
                    if pi_tilde.apply(lam.image(g)) != pi.image(g)), None)
     checks.append(AxiomCheck("factors_through_canonical", fact_w is None, fact_w))
 
-    span = None
     if G.order <= _SPAN_LIMIT:
-        span = span_generation(pi_tilde.domain)
-        checks.append(_span_check("uniqueness_span", span))
-    return FactorizationReport(subject=f"factorization for {G.name}",
-                               checks=tuple(checks), span=span)
+        checks.append(_span_check("uniqueness_span", span_generation(pi_tilde.domain)))
+    return AxiomReport(subject=f"factorization for {G.name}", checks=tuple(checks))
 
 
 def verify_kpar_relations(algebra: GammaAlgebra) -> AxiomReport:

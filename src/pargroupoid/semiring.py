@@ -6,6 +6,12 @@ checker measures the usual semiring laws plus additive cancellation and the
 semifield property, and reports claim/measurement mismatches instead of
 trusting the declarations.
 
+Every check in the package reports through the records defined here: an
+AxiomCheck holds one verdict and its first counterexample, and an
+AxiomReport holds the checks on one subject. A LawReport is the
+AxiomReport of one scalar system, whose checks are its laws; read one law
+with `report.check(name)` and the verdict on all of them with `.passed`.
+
 The ring of differences of an additively cancellative semiring S is built from
 unreduced pairs (pos, neg) standing for pos - neg; two pairs are equal when the
 cross sums agree. delta_of(S) packages that ring as another SemiringSpec, so
@@ -114,35 +120,54 @@ class SemiringSpec:
         return out
 
 
+# ---------------------------------------------------------------------------
+# Check reports, shared by every layer that verifies a law or an axiom.
+
 @dataclass(frozen=True)
-class LawCheck:
-    law: str
+class AxiomCheck:
+    """One universally quantified check: its verdict and first counterexample."""
+
+    name: str
     passed: bool
     witness: tuple | None = None
+    note: str = ""
 
 
 @dataclass(frozen=True)
-class LawReport:
-    """Measured laws for one scalar system, plus claim consistency."""
+class AxiomReport:
+    """The checks run on one subject; it passes when every check passes."""
 
-    semiring: str
-    mode: str  # "exhaustive" | "sampled"
-    laws: tuple[LawCheck, ...]
-    claim_issues: tuple[str, ...]
+    subject: str
+    checks: tuple[AxiomCheck, ...]
 
     @property
-    def all_laws_pass(self) -> bool:
-        return all(c.passed for c in self.laws)
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def check(self, name: str) -> AxiomCheck:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(f"no check named {name!r} in report for {self.subject}")
+
+    @property
+    def failures(self) -> tuple[AxiomCheck, ...]:
+        return tuple(c for c in self.checks if not c.passed)
+
+
+@dataclass(frozen=True)
+class LawReport(AxiomReport):
+    """Measured laws for one scalar system, plus claim consistency.
+
+    The subject is the system's name and the checks are its laws.
+    """
+
+    mode: str  # "exhaustive" | "sampled"
+    claim_issues: tuple[str, ...]
 
     @property
     def claims_consistent(self) -> bool:
         return not self.claim_issues
-
-    def law(self, name: str) -> LawCheck:
-        for c in self.laws:
-            if c.law == name:
-                return c
-        raise KeyError(f"no law named {name!r}")
 
 
 def check_semiring_laws(S: SemiringSpec, seed: int = DEFAULT_SEED) -> LawReport:
@@ -164,33 +189,30 @@ def check_semiring_laws(S: SemiringSpec, seed: int = DEFAULT_SEED) -> LawReport:
         triples = [tuple(stream[3 * i:3 * i + 3]) for i in range(len(stream) // 3)]
 
     add, mul, eq = S.add, S.mul, S.eq
-
-    def first_triple(pred) -> tuple | None:
-        for t in triples:
-            if not pred(*t):
-                return t
-        return None
-
-    checks: list[LawCheck] = []
+    checks: list[AxiomCheck] = []
 
     def record(law: str, witness: tuple | None) -> None:
-        checks.append(LawCheck(law, witness is None, witness))
+        checks.append(AxiomCheck(law, witness is None, witness))
 
     record("add_associative",
-           first_triple(lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c)))))
+           next(((a, b, c) for a, b, c in triples
+                 if not eq(add(add(a, b), c), add(a, add(b, c)))), None))
     record("add_commutative",
-           first_triple(lambda a, b, c: eq(add(a, b), add(b, a))))
+           next(((a, b, c) for a, b, c in triples if not eq(add(a, b), add(b, a))), None))
     record("add_identity",
            next(((a,) for a in singles if not eq(add(a, S.zero), a)), None))
     record("mul_associative",
-           first_triple(lambda a, b, c: eq(mul(mul(a, b), c), mul(a, mul(b, c)))))
+           next(((a, b, c) for a, b, c in triples
+                 if not eq(mul(mul(a, b), c), mul(a, mul(b, c)))), None))
     record("mul_identity",
            next(((a,) for a in singles
                  if not (eq(mul(a, S.one), a) and eq(mul(S.one, a), a))), None))
     record("left_distributive",
-           first_triple(lambda a, b, c: eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))))
+           next(((a, b, c) for a, b, c in triples
+                 if not eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))), None))
     record("right_distributive",
-           first_triple(lambda a, b, c: eq(mul(add(a, b), c), add(mul(a, c), mul(b, c)))))
+           next(((a, b, c) for a, b, c in triples
+                 if not eq(mul(add(a, b), c), add(mul(a, c), mul(b, c)))), None))
     # zero tests go through eq, so a spec's own is_zero is not trusted here
     zero = S.zero
     record("zero_annihilates",
@@ -200,18 +222,11 @@ def check_semiring_laws(S: SemiringSpec, seed: int = DEFAULT_SEED) -> LawReport:
     # Additive cancellation: a + c = b + c must force a = b. The exhaustive
     # sweep iterates c outermost and a innermost so the first witness found is
     # canonical for a fixed carrier order.
-    witness = None
-    if exhaustive:
-        for c_, b_, a_ in itertools.product(singles, repeat=3):
-            if eq(add(a_, c_), add(b_, c_)) and not eq(a_, b_):
-                witness = (a_, b_, c_)
-                break
-    else:
-        for a_, b_, c_ in triples:
-            if eq(add(a_, c_), add(b_, c_)) and not eq(a_, b_):
-                witness = (a_, b_, c_)
-                break
-    record("additively_cancellative", witness)
+    cases = (((a, b, c) for c, b, a in itertools.product(singles, repeat=3))
+             if exhaustive else triples)
+    record("additively_cancellative",
+           next(((a, b, c) for a, b, c in cases
+                 if eq(add(a, c), add(b, c)) and not eq(a, b)), None))
 
     def semifield_witness() -> tuple | None:
         for a in singles:
@@ -230,16 +245,15 @@ def check_semiring_laws(S: SemiringSpec, seed: int = DEFAULT_SEED) -> LawReport:
 
     record("semifield", semifield_witness())
 
-    measured = {c.law: c.passed for c in checks}
+    measured = {c.name: c.passed for c in checks}
     issues: list[str] = []
     if S.claims_additively_cancellative and not measured["additively_cancellative"]:
         issues.append("claims additive cancellation but a counterexample was found")
     if S.claims_semifield and not measured["semifield"]:
         issues.append("claims to be a semifield but a counterexample was found")
 
-    return LawReport(semiring=S.name,
+    return LawReport(subject=S.name, checks=tuple(checks),
                      mode="exhaustive" if exhaustive else "sampled",
-                     laws=tuple(checks),
                      claim_issues=tuple(issues))
 
 

@@ -211,8 +211,8 @@ def test_decompose_with_a_scalar_prints_the_same_bytes(capsys, spec, scalar):
 
 
 def test_decompose_text_names_isotropy_generators_by_label(tmp_path, capsys):
-    # text renders each generator by its label and the trivial group as <e>,
-    # as the block demo does; the JSON keeps indices
+    # text renders each generator by its label and the trivial group by the
+    # identity's label, as the block demo does; the JSON keeps indices
     doc = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
            "labels": ["1", "r", "r2"]}
     path = tmp_path / "z3.json"
@@ -220,8 +220,8 @@ def test_decompose_text_names_isotropy_generators_by_label(tmp_path, capsys):
     spec = f"table:{path}"
     code, out, _ = _run(capsys, ["decompose", "--group", spec, "--format", "text"])
     assert code == 0
-    assert out.splitlines()[1:4] == ["  1 x M_1(KH), |H| = 1, H = <e>",
-                                     "  1 x M_2(KH), |H| = 1, H = <e>",
+    assert out.splitlines()[1:4] == ["  1 x M_1(KH), |H| = 1, H = <1>",
+                                     "  1 x M_2(KH), |H| = 1, H = <1>",
                                      "  1 x M_1(KH), |H| = 3, H = <r>"]
     code, doc, _ = _run_json(capsys, ["decompose", "--group", spec])
     assert code == 0 and [b["H_gens"] for b in doc["blocks"]] == [[], [], [1]]
@@ -573,6 +573,19 @@ def test_action_check_pass_and_fail(tmp_path, capsys):
     assert code == 1
     assert "first failure: identity_domain" in err
     assert not json.loads(out)["passed"]
+
+
+# The documents and stdout bytes were made before the axiom searches became
+# one generator each; stderr is the first failing check.
+@pytest.mark.parametrize("name, code, err", [
+    ("cyclic2", 0, ""),
+    ("cyclic3", 1, "first failure: domain_compatibility: ('a', 'a')\n"),
+    ("cyclic2_swap", 1, "first failure: identity_map: (0,)\n"),
+])
+def test_action_check_matches_golden_bytes(capsys, name, code, err):
+    argv = ["action-check", "--file", str(GOLDEN / f"action_doc_{name}.json")]
+    assert _run(capsys, argv) == (
+        code, (GOLDEN / f"action_check_{name}.json").read_text(), err)
 
 
 def test_action_check_malformed_document_exits_3(tmp_path, capsys):

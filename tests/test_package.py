@@ -90,6 +90,11 @@ def test_moved_names_are_the_same_objects():
     from pargroupoid import group, partial_rep, semiring
     assert partial_rep.PartialActionFormatError is group.PartialActionFormatError
     assert semiring.DEFAULT_SEED == group.DEFAULT_SEED == 0xC0FFEE
+    # every layer's reports share one check record, defined with the laws
+    for name in ("AxiomCheck", "AxiomReport"):
+        assert getattr(partial_rep, name) is getattr(semiring, name)
+        assert pargroupoid._MODULE_OF[name] == "semiring"
+        assert getattr(pargroupoid, name).__module__ == "pargroupoid.semiring"
 
 
 # Prints the pargroupoid modules loaded after running the given statement.

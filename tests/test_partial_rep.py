@@ -21,6 +21,7 @@ from pargroupoid.partial_rep import (
     _lift,
     _lower,
     GammaHom,
+    PartialAction,
     PartialActionFormatError,
     PartialRepMap,
     epsilon,
@@ -117,7 +118,7 @@ def test_from_json_rejects_non_bijective_map():
 
 def test_global_action_satisfies_both_systems():
     report = verify_partial_action(partial_action_from_json(translation_doc(4)))
-    assert report.passed and bool(report)
+    assert report.passed
     assert report.failures == ()
     agree = report.check("formulations_agree")
     assert agree.passed and "overlap system: pass" in agree.note
@@ -139,6 +140,104 @@ def test_restriction_of_translation_is_a_partial_action():
         "pa_identity", "pa_inverse", "pa_extension", "formulations_agree"}
 
 
+def _random_partial_action(G, rng: random.Random) -> PartialAction:
+    """A partial action of valid shape whose axioms hold or fail at random.
+
+    D_g and D_(g^-1) are random subsets of one size and alpha_g a random
+    bijection between them. Most of the time the identity acts trivially on
+    the whole set, and half the time alpha_(g^-1) inverts alpha_g.
+    """
+    size = rng.randrange(5)
+    domains: list = [None] * G.order
+    maps: list = [None] * G.order
+    for g in G.elements():
+        gi = G.inverse(g)
+        if domains[g] is not None:
+            continue
+        k = size if g == 0 and rng.random() < 0.7 else rng.randrange(size + 1)
+        domains[g] = frozenset(rng.sample(range(size), k))
+        domains[gi] = domains[g] if gi == g else frozenset(rng.sample(range(size), k))
+        for a, b in ((g, gi), (gi, g))[:1 if gi == g else 2]:
+            images = sorted(domains[a])
+            rng.shuffle(images)
+            maps[a] = dict(zip(sorted(domains[b]), images))
+        if g == 0 and rng.random() < 0.6:
+            maps[0] = {x: x for x in domains[0]}
+        elif gi != g and rng.random() < 0.5:
+            maps[gi] = {y: x for x, y in maps[g].items()}
+    return PartialAction(G, size, tuple(domains), tuple(maps))
+
+
+def _action_search_oracle(pa: PartialAction) -> dict:
+    """The first witnesses of the four searches of verify_partial_action, as
+    the nested loops with break flags found them before each became one
+    generator."""
+    G, D, A, inv = pa.group, pa.domains, pa.maps, pa.group.inverse
+    overlap_w = None
+    for g in G.elements():
+        for h in G.elements():
+            lhs = {A[g][x] for x in D[inv(g)] & D[h]}
+            rhs = D[g] & D[G.mul(g, h)]
+            if lhs != rhs:
+                overlap_w = (G.label(g), G.label(h))
+                break
+        if overlap_w:
+            break
+    comp_w = None
+    for g in G.elements():
+        for h in G.elements():
+            gh = G.mul(g, h)
+            for x in sorted(D[inv(h)] & D[inv(gh)]):
+                y = A[h][x]
+                if y not in D[inv(g)] or A[g][y] != A[gh][x]:
+                    comp_w = (G.label(g), G.label(h), x)
+                    break
+            if comp_w:
+                break
+        if comp_w:
+            break
+    inv_w = None
+    for g in G.elements():
+        for x in sorted(D[inv(g)]):
+            if A[inv(g)].get(A[g][x]) != x:
+                inv_w = (G.label(g), x)
+                break
+        if inv_w:
+            break
+    ext_w = None
+    for g in G.elements():
+        for h in G.elements():
+            gh = G.mul(g, h)
+            for x in sorted(D[inv(h)]):
+                y = A[h][x]
+                if y not in D[inv(g)]:
+                    continue
+                if x not in D[inv(gh)] or A[gh][x] != A[g][y]:
+                    ext_w = (G.label(g), G.label(h), x)
+                    break
+            if ext_w:
+                break
+        if ext_w:
+            break
+    return {"domain_compatibility": overlap_w, "composition": comp_w,
+            "pa_inverse": inv_w, "pa_extension": ext_w}
+
+
+def test_action_searches_match_the_loop_oracle():
+    rng = random.Random(2023)
+    failed = set()
+    for spec in ("cyclic:2", "cyclic:3", "cyclic:4", "klein4", "sym:3"):
+        G = make_group(spec)
+        for _ in range(200):
+            pa = _random_partial_action(G, rng)
+            report = verify_partial_action(pa)
+            expected = _action_search_oracle(pa)
+            assert {name: report.check(name).witness for name in expected} == expected
+            failed.update(c.name for c in report.failures)
+    # the draws reach a failure of every check that can fail
+    assert failed == {c.name for c in report.checks} - {"formulations_agree"}
+
+
 def test_shrunken_identity_domain_is_reported():
     doc = {
         "group": "cyclic:2",
@@ -147,7 +246,7 @@ def test_shrunken_identity_domain_is_reported():
         "maps": {"0": [[0, 0]], "1": [[0, 0]]},
     }
     report = verify_partial_action(partial_action_from_json(doc))
-    assert not report
+    assert not report.passed
     bad = report.check("identity_domain")
     assert not bad.passed and bad.witness == (1,)
     assert report.failures[0].name == "identity_domain"
@@ -452,8 +551,9 @@ def test_regular_representation_extends_and_factors():
         ext = extend_to_gamma_hom(reg)
         report = verify_factorization(reg, ext)
         assert report.passed, report.failures
-        assert report.span is not None and report.span.complete
-        assert report.check("uniqueness_span").passed
+        span = report.check("uniqueness_span")
+        assert span.passed and span.witness is None
+        assert span.note.startswith(f"rank {ext.domain.size} of {ext.domain.size} ")
 
 
 def test_mutated_extension_fails_multiplicativity():

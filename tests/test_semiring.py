@@ -1,6 +1,8 @@
 """Scalar systems: measured laws, claim consistency, ring of differences."""
 
 import dataclasses
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -9,9 +11,11 @@ from hypothesis import given, strategies as st
 
 from pargroupoid.semiring import (
     BOOL,
+    EXHAUSTIVE_CARRIER_LIMIT,
     LAW_NAMES,
     NAT,
     QNN,
+    SAMPLE_BUDGET,
     DeltaElement,
     SemiringPropertyError,
     SemiringSpec,
@@ -25,7 +29,9 @@ nonneg = st.fractions(min_value=0, max_value=1000)
 
 def test_qnn_all_laws_pass():
     report = check_semiring_laws(QNN)
-    assert report.all_laws_pass
+    assert report.passed
+    assert report.subject == "qnn"
+    assert [c.name for c in report.checks] == list(LAW_NAMES)
     assert report.claims_consistent
     assert report.mode == "sampled"
 
@@ -35,8 +41,8 @@ def test_nat_laws_pass_except_unclaimed_semifield():
     for name in LAW_NAMES:
         if name == "semifield":
             continue
-        assert report.law(name).passed, name
-    assert not report.law("semifield").passed
+        assert report.check(name).passed, name
+    assert not report.check("semifield").passed
     # NAT never claimed to be a semifield, so the report stays consistent
     assert report.claims_consistent
 
@@ -44,7 +50,7 @@ def test_nat_laws_pass_except_unclaimed_semifield():
 def test_bool_cancellation_fails_with_canonical_witness():
     report = check_semiring_laws(BOOL)
     assert report.mode == "exhaustive"
-    check = report.law("additively_cancellative")
+    check = report.check("additively_cancellative")
     assert not check.passed
     # 1 + 1 = 0 + 1 in the or-semiring but 1 != 0; the sweep order makes
     # (a, b, c) = (1, 0, 1) the first witness found
@@ -57,7 +63,85 @@ def test_bool_core_laws_hold():
     for name in LAW_NAMES:
         if name in ("additively_cancellative",):
             continue
-        assert report.law(name).passed, name
+        assert report.check(name).passed, name
+
+
+# The triple-law and cancellation searches of check_semiring_laws as they
+# were before each became one next(): a predicate loop over the triple list,
+# and a break loop per mode for cancellation, c outermost when exhaustive.
+def _law_search_oracle(S: SemiringSpec, seed: int) -> dict:
+    exhaustive = S.carrier is not None and len(S.carrier) <= EXHAUSTIVE_CARRIER_LIMIT
+    if exhaustive:
+        singles = list(S.carrier)
+        triples = list(itertools.product(singles, repeat=3))
+    else:
+        stream = S.values(3 * SAMPLE_BUDGET, seed)
+        triples = [tuple(stream[3 * i:3 * i + 3]) for i in range(len(stream) // 3)]
+    add, mul, eq = S.add, S.mul, S.eq
+
+    def first_triple(pred):
+        for t in triples:
+            if not pred(*t):
+                return t
+        return None
+
+    found = {
+        "add_associative": first_triple(
+            lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c)))),
+        "add_commutative": first_triple(lambda a, b, c: eq(add(a, b), add(b, a))),
+        "mul_associative": first_triple(
+            lambda a, b, c: eq(mul(mul(a, b), c), mul(a, mul(b, c)))),
+        "left_distributive": first_triple(
+            lambda a, b, c: eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))),
+        "right_distributive": first_triple(
+            lambda a, b, c: eq(mul(add(a, b), c), add(mul(a, c), mul(b, c)))),
+    }
+    witness = None
+    if exhaustive:
+        for c_, b_, a_ in itertools.product(singles, repeat=3):
+            if eq(add(a_, c_), add(b_, c_)) and not eq(a_, b_):
+                witness = (a_, b_, c_)
+                break
+    else:
+        for a_, b_, c_ in triples:
+            if eq(add(a_, c_), add(b_, c_)) and not eq(a_, b_):
+                witness = (a_, b_, c_)
+                break
+    found["additively_cancellative"] = witness
+    return found
+
+
+# A three-element system that breaks every law, and its sampled twin, whose
+# triples are all seeded draws: 1 and 2 square alike, so addition is not
+# cancellative, and subtraction as product has no unit.
+def _broken_add(a, b):
+    return (a * a + 2 * b) % 3
+
+
+def _broken_mul(a, b):
+    return (a - b) % 3
+
+
+BROKEN3 = SemiringSpec(name="broken3", add=_broken_add, mul=_broken_mul, zero=0,
+                       one=1, eq=operator.eq, claims_additively_cancellative=True,
+                       carrier=(0, 1, 2))
+BROKEN3_SAMPLED = dataclasses.replace(BROKEN3, name="broken3-sampled", carrier=None,
+                                      sample=lambda rng: rng.randrange(3))
+
+
+@pytest.mark.parametrize("S", [QNN, NAT, BOOL, delta_of(QNN), delta_of(NAT),
+                               BROKEN3, BROKEN3_SAMPLED], ids=lambda S: S.name)
+@pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE])
+def test_law_searches_match_the_loop_oracle(S, seed):
+    report = check_semiring_laws(S, seed=seed)
+    expected = _law_search_oracle(S, seed)
+    assert {name: report.check(name).witness for name in expected} == expected
+    assert all(report.check(name).passed == (w is None) for name, w in expected.items())
+    if S in (BROKEN3, BROKEN3_SAMPLED):
+        # witnesses occur in both modes
+        assert report.mode == ("exhaustive" if S is BROKEN3 else "sampled")
+        assert {c.name for c in report.failures} == set(LAW_NAMES)
+        assert report.claim_issues
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +304,7 @@ def test_delta_of_rejects_noncancellative():
 def test_delta_of_qnn_is_a_field():
     D = delta_of(QNN)
     report = check_semiring_laws(D)
-    assert report.all_laws_pass
+    assert report.passed
     assert report.claims_consistent
     assert D.claims_semifield
 
@@ -228,7 +312,7 @@ def test_delta_of_qnn_is_a_field():
 def test_delta_of_nat_is_a_ring_not_a_field():
     D = delta_of(NAT)
     report = check_semiring_laws(D)
-    assert report.law("additively_cancellative").passed
+    assert report.check("additively_cancellative").passed
     assert not D.claims_semifield
     assert report.claims_consistent
 
@@ -308,7 +392,7 @@ def test_law_checker_measures_zero_through_eq():
     # the zero of QNN into a missing inverse or an unannihilated product
     wrong = dataclasses.replace(QNN, name="qnn-wrong-zero", is_zero=lambda x: False)
     report = check_semiring_laws(wrong)
-    assert report.laws == check_semiring_laws(QNN).laws
+    assert report.checks == check_semiring_laws(QNN).checks
 
 
 # ---------------------------------------------------------------------------
