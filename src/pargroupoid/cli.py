@@ -243,8 +243,8 @@ def _suite_tensor(G: FiniteGroup, S: SemiringSpec, seed: int,
             B = [[rng.choice(pool) for _ in range(block.m)] for _ in range(block.m)]
             w = matrix.entries.random_element(rng)
             v = matrix.entries.random_element(rng)
-            AB = [[_dot(S, A[i], [B[k2][j] for k2 in range(block.m)])
-                   for j in range(block.m)] for i in range(block.m)]
+            cols = list(zip(*B))
+            AB = [[_dot(S, row, col) for col in cols] for row in A]
             lhs = tensor_phi(A, w, matrix) * tensor_phi(B, v, matrix)
             if lhs != tensor_phi(AB, w * v, matrix):
                 phi_witness = phi_witness or where

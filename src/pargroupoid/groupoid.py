@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .group import (
     FiniteGroup,
@@ -56,7 +56,7 @@ class ArrowView:
 
     __slots__ = ("_masks", "_gs")
 
-    def __init__(self, masks: tuple[int, ...], gs: bytes):
+    def __init__(self, masks: Sequence[int], gs: bytes):
         self._masks = masks
         self._gs = gs
 
@@ -106,8 +106,8 @@ def arrow_rows(group: FiniteGroup) -> Iterator[bytes]:
 class Gamma:
     """All pairs (I, g) of a group, in canonical (mask, g) order.
 
-    Arrow k is (masks[k], gs[k]): the arrows of a mask share one int object
-    and the g are bytes, so no object is kept per arrow, and `elements` is a
+    Arrow k is (masks[k], gs[k]): masks is a uint32 array and the g are
+    bytes, so an arrow takes five bytes and no object, and `elements` is a
     view that builds GammaElements when read. The arrows of one mask are
     contiguous and ascending in g, so an arrow's position is closed-form.
     start[I >> 1] arrows come before mask I; inside it, (I, g) follows one
@@ -117,13 +117,18 @@ class Gamma:
         position(I, g) = start[I >> 1] + (I & below[g]).bit_count()
 
     The first arrow of each mask is its unit (e^-1 = e is the least g), so
-    the unit positions are start itself. gs joins the rows of `arrow_rows`;
-    mask I has |I| arrows, so masks and start follow from the popcounts with
-    no Python step per mask or per arrow. The `gamma` command streams the
-    same rows and builds no Gamma.
+    the unit positions are start itself, a uint32 array too. gs is the rows
+    of `arrow_rows` appended to one buffer as they are made, with no list of
+    rows; mask I has |I| arrows, so masks and start follow from the
+    popcounts with no Python step per mask or per arrow. The `gamma` command
+    streams the same rows and builds no Gamma.
     """
 
     def __init__(self, group: FiniteGroup, bound: int | None = None):
+        # a shared library, loaded here so that commands building no Gamma
+        # do not map it
+        from array import array
+
         _check_bound(group, bound, "building the groupoid")
         self.group = group
         n = group.order
@@ -132,9 +137,12 @@ class Gamma:
                            for g in range(n))
         sources = range(1, 1 << n, 2)
         counts = list(map(int.bit_count, sources))
-        self.gs = b"".join(arrow_rows(group))
-        self.masks = tuple(chain.from_iterable(map(repeat, sources, counts)))
-        self.start = (0, *accumulate(counts[:-1]))
+        gs = bytearray()
+        for row in arrow_rows(group):
+            gs += row
+        self.gs = bytes(gs)
+        self.masks = array("I", chain.from_iterable(map(repeat, sources, counts)))
+        self.start = array("I", accumulate(counts[:-1], initial=0))
         self.unit_indices = self.start
         self.elements = ArrowView(self.masks, self.gs)
 

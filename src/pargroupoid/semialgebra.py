@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from random import Random
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .group import FiniteGroup, indices_of_mask
 from .groupoid import Gamma, GammaElement, StandardElement, StandardGroupoid
@@ -116,7 +116,7 @@ class AlgebraElement:
 class SparseAlgebra:
     """Shared machinery: basis indexing, element builders, scalar changes."""
 
-    def __init__(self, scalars: SemiringSpec, basis: tuple, unit_indices: tuple[int, ...]):
+    def __init__(self, scalars: SemiringSpec, basis: Sequence, unit_indices: Sequence[int]):
         self.scalars = scalars
         self.basis = basis
         self.unit_indices = unit_indices
@@ -584,14 +584,22 @@ def tensor_phi(A: Iterable[Iterable[Any]], w: AlgebraElement,
     The (i, j) entry of the result is A[i][j] * w. Together with
     standard_to_matrix (its linear extension along the basis of pure tensors
     e_ij tensor h) this realizes the matrix algebra as a tensor product of
-    the scalar matrix algebra with the group algebra.
+    the scalar matrix algebra with the group algebra. A scalar object that
+    fills several cells is multiplied into w once; elements are never
+    mutated, so those cells share the product. The grid holds every scalar
+    until the result is built, so an id names one scalar throughout.
     """
     if w.algebra is not target.entries:
         raise BasisMismatchError("entry element belongs to a different group algebra")
     grid = tuple(tuple(row) for row in A)
     if len(grid) != target.m or any(len(row) != target.m for row in grid):
         raise ValueError(f"need an {target.m}x{target.m} scalar grid")
-    return MatrixElement(target, {(r, c): w.scale(a) for r, row in enumerate(grid, start=1)
+    scaled: dict[int, AlgebraElement] = {}
+    for row in grid:
+        for a in row:
+            if id(a) not in scaled:
+                scaled[id(a)] = w.scale(a)
+    return MatrixElement(target, {(r, c): scaled[id(a)] for r, row in enumerate(grid, start=1)
                                   for c, a in enumerate(row, start=1)})
 
 

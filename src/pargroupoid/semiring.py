@@ -185,7 +185,9 @@ def check_semiring_laws(S: SemiringSpec, seed: int = DEFAULT_SEED) -> LawReport:
         triples = list(itertools.product(singles, repeat=3))
     else:
         stream = S.values(3 * SAMPLE_BUDGET, seed)
-        singles = S.values(SAMPLE_BUDGET, seed)
+        # values(n) is the first n values of one seeded stream; a carrier
+        # comes whole whatever n is
+        singles = stream if S.carrier is not None else stream[:SAMPLE_BUDGET]
         triples = [tuple(stream[3 * i:3 * i + 3]) for i in range(len(stream) // 3)]
 
     add, mul, eq = S.add, S.mul, S.eq

@@ -139,7 +139,7 @@ class _HashingSink:
 
 
 def test_gamma_streams_without_the_groupoid_arrays(monkeypatch):
-    # Gamma's masks, gs and start hold about 2.6 MB at order 16, and a
+    # Gamma's masks, gs and start hold about 1.5 MB at order 16, and a
     # listing read from a built Gamma peaked at 7.9 MB traced. The stream
     # holds byte tables and one mask's chunk: 0.31 MB traced.
     sink = _HashingSink()
@@ -456,7 +456,8 @@ def test_verification_error_exits_1(capsys, monkeypatch):
 
 
 # Imports pargroupoid.cli, runs argv (if any) with stdout discarded, and
-# prints the exit code and the sorted pargroupoid and numpy modules loaded.
+# prints the exit code and the sorted pargroupoid, numpy and array modules
+# loaded.
 _MODULES_PROBE = """
 import contextlib, io, json, sys
 import pargroupoid.cli
@@ -465,7 +466,7 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = pargroupoid.cli.run(sys.argv[1:])
 print(json.dumps([code, sorted(
-    m for m in sys.modules if m.split(".")[0] in ("pargroupoid", "numpy"))]))
+    m for m in sys.modules if m.split(".")[0] in ("pargroupoid", "numpy", "array"))]))
 """
 
 
@@ -487,24 +488,26 @@ def test_importing_the_cli_does_not_load_numpy():
 # Every command loads the package, cli, group and groupoid; the rest are the
 # layers it runs. Without a bytecode cache each loaded module is compiled on
 # every start, so a module loaded here and not needed is start-up time lost.
+# A command that builds a Gamma also loads `array`, a shared library that
+# `gamma` and a plain `decompose` must not map.
 _BASE_MODULES = ("cli", "group", "groupoid")
 
 
-@pytest.mark.parametrize("argv, extra", [
-    ([], ()),
-    (["gamma", "--group", "klein4"], ()),
-    (["decompose", "--group", "klein4"], ("structure",)),
+@pytest.mark.parametrize("argv, extra, builds_gamma", [
+    ([], (), False),
+    (["gamma", "--group", "klein4"], (), False),
+    (["decompose", "--group", "klein4"], ("structure",), False),
     (["decompose", "--group", "klein4", "--scalar", "qnn"],
-     ("semialgebra", "semiring", "structure")),
+     ("semialgebra", "semiring", "structure"), True),
     (["verify", "--group", "klein4", "--suite", "delta"],
-     ("semialgebra", "semiring")),
+     ("semialgebra", "semiring"), True),
     (["verify", "--group", "cyclic:2", "--suite", "all"],
-     ("partial_rep", "semialgebra", "semiring", "structure")),
+     ("partial_rep", "semialgebra", "semiring", "structure"), True),
     (["action-check", "--file", "{action}"],
-     ("partial_rep", "semialgebra", "semiring")),
+     ("partial_rep", "semialgebra", "semiring"), False),
 ], ids=["import", "gamma", "decompose", "decompose-scalar", "verify-delta",
         "verify-all", "action-check"])
-def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
+def test_each_command_loads_only_its_modules(tmp_path, argv, extra, builds_gamma):
     action = tmp_path / "action.json"
     action.write_text(json.dumps({
         "group": "cyclic:2", "X": 2, "domains": {"0": [0, 1], "1": [0, 1]},
@@ -512,7 +515,7 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     argv = [arg.replace("{action}", str(action)) for arg in argv]
     code, modules = _loaded_modules(argv)
     assert code == 0
-    assert modules == sorted(["pargroupoid"] + [
+    assert modules == sorted(["pargroupoid"] + ["array"] * builds_gamma + [
         f"pargroupoid.{name}" for name in _BASE_MODULES + extra])
 
 

@@ -1,6 +1,7 @@
 """The groupoid of subset-element pairs and its component structure."""
 
-from itertools import islice
+from array import array
+from itertools import accumulate, chain, islice, repeat
 
 import pytest
 
@@ -12,6 +13,7 @@ from groups_util import (
     q8,
 )
 from pargroupoid.group import (
+    MAX_ORDER_BOUND,
     GroupOrderBoundError,
     indices_of_mask,
     make_group,
@@ -24,6 +26,7 @@ from pargroupoid.groupoid import (
     StandardElement,
     StandardGroupoid,
     arrow_rows,
+    gamma_size,
     unit_components,
 )
 from pargroupoid.structure import _chosen_arrows, _normal_form
@@ -288,7 +291,7 @@ def test_position_matches_enumerate_index(name, G):
     assert tuple(gamma.elements) == arrows
     for el, i in index.items():
         assert gamma.position(el.mask, el.g) == i
-    assert gamma.unit_indices == tuple(i for el, i in index.items() if el.g == 0)
+    assert tuple(gamma.unit_indices) == tuple(i for el, i in index.items() if el.g == 0)
     assert tuple(GammaElement(mask, g) for mask in range(1, 1 << G.order, 2)
                  for g in gamma.gs_at(mask)) == arrows
     # the view indexes, slices and raises IndexError as the tuple does
@@ -304,6 +307,35 @@ def test_position_matches_enumerate_index(name, G):
     for sl in [slice(None), slice(3, 9), slice(-5, None), slice(None, None, -7),
                slice(size - 2, size + 5), slice(size + 1, None)]:
         assert view[sl] == arrows[sl]
+
+
+# Gamma's tables as they were built before they became uint32 arrays and a
+# streamed byte buffer: tuples of ints and one join over a list of rows. Kept
+# as the test-only oracle of the arrays.
+
+def _tuple_tables(G) -> tuple[tuple[int, ...], tuple[int, ...], bytes]:
+    sources = range(1, 1 << G.order, 2)
+    counts = list(map(int.bit_count, sources))
+    masks = tuple(chain.from_iterable(map(repeat, sources, counts)))
+    start = (0, *accumulate(counts[:-1]))
+    return masks, start, b"".join(arrow_rows(G))
+
+
+@pytest.mark.parametrize("name,G", build_roster() + order_16_roster())
+def test_array_tables_match_tuple_tables(name, G):
+    gamma = Gamma(G)
+    masks, start, gs = _tuple_tables(G)
+    assert gamma.masks.typecode == gamma.start.typecode == "I"
+    assert tuple(gamma.masks) == masks and tuple(gamma.start) == start
+    assert type(gamma.gs) is bytes and gamma.gs == gs
+    assert gamma.unit_indices is gamma.start
+
+
+def test_largest_mask_and_size_fit_the_array_items():
+    # every mask is below 2^MAX_ORDER_BOUND and every start entry below the
+    # size; an array raises OverflowError on an item it cannot hold
+    bounds = [1 << MAX_ORDER_BOUND, gamma_size(MAX_ORDER_BOUND)]
+    assert array("I", bounds).tolist() == bounds
 
 
 # The rows of arrow_rows from the definition: the inverses of the elements of

@@ -323,18 +323,20 @@ def test_scalar_lookups_hash_no_fractions(monkeypatch):
 
 
 def test_order_16_basis_is_flat():
-    # two flat per-arrow sequences and closed-form lookups: one frozen object
-    # per arrow took 29.0 MB and the algebra's index dict 18.3 MB more
+    # a uint32 array of masks, a byte per g and closed-form lookups: one
+    # frozen object per arrow took 29.0 MB and the algebra's index dict
+    # 18.3 MB more; a tuple of masks and a joined list of rows held 4.86 MB
+    # and peaked at 5.42 MB while built, against about 1.56 and 2.38 MB now
     G = make_group("cyclic:16")
     tracemalloc.start()
     try:
         gamma = Gamma(G)
-        built = tracemalloc.get_traced_memory()[0]
+        built, build_peak = tracemalloc.get_traced_memory()
         alg = GammaAlgebra(gamma, QNN)
         added = tracemalloc.get_traced_memory()[0] - built
     finally:
         tracemalloc.stop()
-    assert built < 6_000_000
+    assert built < 2_000_000 and build_peak < 3_000_000
     assert added < 100_000 and alg.size == gamma.size
 
 
@@ -733,6 +735,31 @@ def test_pure_tensor_products_factor():
                for j in range(2)] for i in range(2)]
         assert (tensor_phi(A, w, mat) * tensor_phi(B, v, mat)
                 == tensor_phi(AB, w * v, mat))
+
+
+# tensor_phi as it was before it scaled each scalar object once: one scale per
+# cell. Kept as the test-only oracle of the shared products.
+
+def _tensor_phi_per_cell(A, w: AlgebraElement, target: MatrixAlgebra) -> MatrixElement:
+    return MatrixElement(target, {(r, c): w.scale(a) for r, row in enumerate(A, start=1)
+                                  for c, a in enumerate(row, start=1)})
+
+
+@pytest.mark.parametrize("scalars", [QNN, NAT, delta_of(QNN)],
+                         ids=["qnn", "nat", "qnn-delta"])
+def test_tensor_phi_matches_one_scale_per_cell(scalars):
+    std = StandardAlgebra(StandardGroupoid(make_group("sym:3"), 3), scalars)
+    mat = matrix_algebra_for(std)
+    rng = random.Random(11)
+    # a pool of five repeats entries in a 3x3 grid, and its zero fills cells
+    pool = [scalars.zero, *scalars.values(4, seed=11)]
+    for _ in range(40):
+        A = [[rng.choice(pool) for _ in range(3)] for _ in range(3)]
+        w = mat.entries.random_element(rng, terms=4)
+        got, want = tensor_phi(A, w, mat), _tensor_phi_per_cell(A, w, mat)
+        assert list(got.cells) == list(want.cells)
+        for pos, entry in want.cells.items():
+            assert got.cells[pos].coeffs == entry.coeffs
 
 
 def test_tensor_shape_validation():

@@ -111,6 +111,41 @@ def _law_search_oracle(S: SemiringSpec, seed: int) -> dict:
     return found
 
 
+# The sampled singles are the first SAMPLE_BUDGET values of the triple
+# stream. Before they were sliced from it they were drawn a second time from
+# the spec; this stream draws them again when sliced, so the report can be
+# compared with one built both ways.
+class _RedrawnSingles(list):
+    def __init__(self, values: list, redraw):
+        super().__init__(values)
+        self.redraw = redraw
+
+    def __getitem__(self, k):
+        if k == slice(None, SAMPLE_BUDGET):
+            return self.redraw()
+        return super().__getitem__(k)
+
+
+@pytest.mark.parametrize("S", [QNN, NAT, delta_of(QNN), delta_of(NAT),
+                               delta_of(delta_of(QNN))], ids=lambda S: S.name)
+@pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE])
+def test_sliced_singles_match_a_second_draw(monkeypatch, S, seed):
+    assert S.values(SAMPLE_BUDGET, seed) == S.values(3 * SAMPLE_BUDGET, seed)[:SAMPLE_BUDGET]
+    sliced = check_semiring_laws(S, seed=seed)
+    values = SemiringSpec.values
+    redraws = []
+
+    def redrawing(spec, count, seed):
+        def redraw():
+            redraws.append(count)
+            return values(spec, SAMPLE_BUDGET, seed)
+        return _RedrawnSingles(values(spec, count, seed), redraw)
+
+    monkeypatch.setattr(SemiringSpec, "values", redrawing)
+    assert check_semiring_laws(S, seed=seed) == sliced
+    assert redraws == [3 * SAMPLE_BUDGET]
+
+
 # A three-element system that breaks every law, and its sampled twin, whose
 # triples are all seeded draws: 1 and 2 square alike, so addition is not
 # cancellative, and subtraction as product has no unit.
