@@ -25,7 +25,7 @@ _MODULE_OF = {
             "FiniteGroup", "GroupOrderBoundError", "GroupSpecError",
             "GroupTableError", "PartialActionFormatError", "Subgroup",
             "conjugacy_classes_of_subgroups", "from_table", "generating_set",
-            "make_group", "right_cosets", "stabilizer_of_subset",
+            "make_group", "stabilizer_of_subset",
             "subgroup_as_group", "subgroups",
         ),
         "groupoid": (

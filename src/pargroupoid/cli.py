@@ -469,7 +469,7 @@ def _cmd_action_check(args) -> int:
     from .partial_rep import partial_action_from_json, verify_partial_action
 
     doc_in = read_json(args.file, PartialActionFormatError)
-    group = make_group(args.group) if args.group else None
+    group = make_group(args.group) if args.group is not None else None
     pa = partial_action_from_json(doc_in, group=group)
     report = verify_partial_action(pa)
     doc = {

@@ -532,22 +532,6 @@ def conjugacy_classes_of_subgroups(G: FiniteGroup) -> list[list[Subgroup]]:
     return classes
 
 
-def right_cosets(G: FiniteGroup, H: Subgroup) -> list[int]:
-    """Masks of the right cosets H*t; the coset of the identity comes first."""
-    if H.group is not G:
-        raise ValueError("subgroup belongs to a different group")
-    helems = H.elements()
-    cosets = [H.mask]
-    covered = H.mask
-    for t in G.elements():
-        if covered >> t & 1:
-            continue
-        cmask = mask_from_indices(G.mul(h, t) for h in helems)
-        cosets.append(cmask)
-        covered |= cmask
-    return cosets
-
-
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Re-index a subgroup as a standalone group.
 

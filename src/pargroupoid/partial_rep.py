@@ -207,13 +207,16 @@ def verify_partial_action(pa: PartialAction) -> AxiomReport:
     id_w = next(((x,) for x in sorted(D[0]) if A[0].get(x) != x), None)
     checks.append(AxiomCheck("identity_map", id_w is None, id_w))
 
-    # every (g, h) with its product gh, g outermost, as the witnesses are sought
-    products = [(g, h, G.mul(g, h)) for g, h in product(G.elements(), repeat=2)]
-    overlap_w = next(((G.label(g), G.label(h)) for g, h, gh in products
+    def products():
+        # every (g, h) with its product gh, g outermost, as the witnesses are
+        # sought; made afresh for each search, so the n^2 cases are never held
+        return ((g, h, gh) for g, row in enumerate(G.cayley) for h, gh in enumerate(row))
+
+    overlap_w = next(((G.label(g), G.label(h)) for g, h, gh in products()
                       if {A[g][x] for x in D[inv(g)] & D[h]} != D[g] & D[gh]), None)
     checks.append(AxiomCheck("domain_compatibility", overlap_w is None, overlap_w))
 
-    comp_w = next(((G.label(g), G.label(h), x) for g, h, gh in products
+    comp_w = next(((G.label(g), G.label(h), x) for g, h, gh in products()
                    for x in sorted(D[inv(h)] & D[inv(gh)])
                    if A[h][x] not in D[inv(g)] or A[g][A[h][x]] != A[gh][x]), None)
     checks.append(AxiomCheck("composition", comp_w is None, comp_w))
@@ -225,7 +228,7 @@ def verify_partial_action(pa: PartialAction) -> AxiomReport:
                   if A[inv(g)].get(A[g][x]) != x), None)
     checks.append(AxiomCheck("pa_inverse", inv_w is None, inv_w))
 
-    ext_w = next(((G.label(g), G.label(h), x) for g, h, gh in products
+    ext_w = next(((G.label(g), G.label(h), x) for g, h, gh in products()
                   for x in sorted(D[inv(h)])
                   if A[h][x] in D[inv(g)]
                   and (x not in D[inv(gh)] or A[gh][x] != A[g][A[h][x]])), None)
@@ -540,43 +543,31 @@ class SpanReport:
     products: int
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    if not rows:
-        return 0
-    cols = len(rows[0])
+def _rank(rows: list[list], p: int | None = None) -> int:
+    """The rank of rows over GF(p), or exactly over the rationals when p is
+    None. The rows are copied, reduced mod p or as Fractions, so an entry is
+    truthy exactly when it is nonzero in the field."""
+    if p is None:
+        rows = [[Fraction(v) for v in row] for row in rows]
+    else:
+        rows = [[v % p for v in row] for row in rows]
     rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        base = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * inv % p
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], base)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _rank_exact(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for col in range(cols):
+    for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         base = rows[rank]
+        inv = 1 / base[col] if p is None else pow(base[col], -1, p)
         for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / base[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], base)]
+            row = rows[i]
+            if row[col]:
+                f = row[col] * inv
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(row, base)]
+                else:
+                    f %= p
+                    rows[i] = [(a - f * b) % p for a, b in zip(row, base)]
         rank += 1
         if rank == len(rows):
             break
@@ -619,11 +610,11 @@ def span_generation(algebra: GammaAlgebra) -> SpanReport:
 
     supports = sorted(seen, key=lambda k: sorted(k))
     rows = [[1 if i in sup else 0 for i in range(algebra.size)] for sup in supports]
-    rank = _rank_mod_p([row[:] for row in rows], _RANK_PRIME)
+    rank = _rank(rows, _RANK_PRIME)
     method = "mod-p"
     if rank < algebra.size:
         # The modular rank only bounds from below; confirm exactly.
-        rank = _rank_exact([[Fraction(v) for v in row] for row in rows])
+        rank = _rank(rows)
         method = "exact"
     return SpanReport(gamma_size=algebra.size, generated=len(seen), rank=rank,
                       complete=rank == algebra.size, method=method, products=products)

@@ -76,12 +76,8 @@ class AlgebraElement:
             raise SemiringPropertyError(
                 f"{self.algebra.scalars.name} has no negation; subtraction "
                 "needs the ring of differences")
-        add = self.algebra.scalars.add
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            nc = neg(c)
-            out[i] = add(out[i], nc) if i in out else nc
-        return AlgebraElement(self.algebra, out)
+        return self + AlgebraElement(self.algebra,
+                                     {i: neg(c) for i, c in other.coeffs.items()})
 
     def scale(self, c) -> "AlgebraElement":
         mul = self.algebra.scalars.mul
@@ -126,9 +122,6 @@ class SparseAlgebra:
     def size(self) -> int:
         return len(self.basis)
 
-    def basis_product(self, i: int, j: int) -> int | None:
-        raise NotImplementedError
-
     def index_of(self, b) -> int:
         """The position of the basis object b; ValueError when b is not one."""
         i = self._position(b)
@@ -139,16 +132,22 @@ class SparseAlgebra:
     def _position(self, b) -> int | None:
         raise NotImplementedError
 
+    def _row(self, i: int) -> Sequence[int | None]:
+        """Entry j is the index of the basis product i * j, or None where
+        that product is undefined."""
+        raise NotImplementedError
+
     def convolve(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
         """Coefficients of the product of two elements given by their
         coefficient dicts: every support pair, undefined products dropped."""
-        prod = self.basis_product
+        row_of = self._row
         sadd = self.scalars.add
         smul = self.scalars.mul
         out: dict[int, Any] = {}
         for i, a in x.items():
+            row = row_of(i)
             for j, b in y.items():
-                k = prod(i, j)
+                k = row[j]
                 if k is None:
                     continue
                 c = smul(a, b)
@@ -309,19 +308,9 @@ class GroupAlgebra(SparseAlgebra):
     def __repr__(self) -> str:
         return f"GroupAlgebra({self.group.name}, {self.scalars.name})"
 
-    def convolve(self, x: dict[int, Any], y: dict[int, Any]) -> dict[int, Any]:
-        # every product is defined: read it from the Cayley row of i
-        cayley = self.group.cayley
-        sadd = self.scalars.add
-        smul = self.scalars.mul
-        out: dict[int, Any] = {}
-        for i, a in x.items():
-            row = cayley[i]
-            for j, b in y.items():
-                k = row[j]
-                c = smul(a, b)
-                out[k] = sadd(out[k], c) if k in out else c
-        return out
+    def _row(self, i: int) -> Sequence[int]:
+        # every product is defined: the Cayley row of i
+        return self.group.cayley[i]
 
     def _position(self, b) -> int | None:
         return b if isinstance(b, int) and 0 <= b < self.group.order else None
@@ -334,7 +323,7 @@ class StandardAlgebra(SparseAlgebra):
     """The semialgebra of the standard groupoid of triples (h, i, j).
 
     Basis order is h-major, then range index, then source index, so the index
-    arithmetic in basis_product and in a triple's position is closed-form.
+    arithmetic in a product row and in a triple's position is closed-form.
     """
 
     def __init__(self, groupoid: StandardGroupoid, scalars: SemiringSpec):
@@ -347,15 +336,18 @@ class StandardAlgebra(SparseAlgebra):
         return (f"StandardAlgebra({self.groupoid.H.name}, "
                 f"m={self.groupoid.m}, {self.scalars.name})")
 
-    def basis_product(self, i: int, j: int) -> int | None:
+    def _row(self, i: int) -> list[int | None]:
+        # (ha, ia, ja)(hb, ib, jb) is (ha hb, ia, jb) when ja = ib: the m
+        # triples (hb, ja, *) map in order onto (ha hb, ia, *)
         m = self.groupoid.m
         ha, rem = divmod(i, m * m)
         ia, ja = divmod(rem, m)
-        hb, rem = divmod(j, m * m)
-        ib, jb = divmod(rem, m)
-        if ja != ib:
-            return None
-        return (self.groupoid.H.mul(ha, hb) * m + ia) * m + jb
+        row: list[int | None] = [None] * self.size
+        for hb, h in enumerate(self.groupoid.H.cayley[ha]):
+            j = (hb * m + ja) * m
+            k = (h * m + ia) * m
+            row[j:j + m] = range(k, k + m)
+        return row
 
     def _position(self, b) -> int | None:
         m = self.groupoid.m
@@ -516,14 +508,14 @@ class MatrixElement:
         # order, as there. Scalars with dot have no zero divisors and no
         # sums that cancel, so nothing the loop drops can arise here.
         entries = self.algebra.entries
-        cayley = entries.group.cayley
+        row_of = entries._row
         terms: dict[tuple[int, int], dict[int, list[tuple[Any, Any]]]] = {}
         for (i, k), a in self.cells.items():
             for j, b in right_rows.get(k, ()):
                 cell = terms.setdefault((i, j), {})
                 right = b.coeffs.items()
                 for g, x in a.coeffs.items():
-                    row = cayley[g]
+                    row = row_of(g)
                     for h, y in right:
                         gh = row[h]
                         if gh in cell:

@@ -101,6 +101,19 @@ def test_huge_ground_set_is_never_built(tmp_path):
         "name": "identity_domain", "passed": False, "witness": "(0,)"}
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose", "gamma", "action-check"])
+def test_an_empty_group_spec_exits_2(command):
+    # action-check read an empty --group as absent and checked the
+    # document's own group instead
+    argv = [command, "--group", ""]
+    if command == "action-check":
+        argv += ["--file", str(Path(__file__).parent / "golden" / "action_doc_cyclic3.json")]
+    code, out, err = _run_capped(argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: bad group spec ''; expected cyclic:n, klein4, sym:n, "
+                   "dihedral:n, or table:<path>\n")
+
+
 _DECOMPOSING = "decomposing walks all subsets of the group; order "
 _BUILDING = "building the groupoid walks all subsets of the group; order "
 

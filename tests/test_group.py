@@ -32,7 +32,6 @@ from pargroupoid.group import (
     indices_of_mask,
     make_group,
     mask_from_indices,
-    right_cosets,
     stabilizer_of_subset,
     subgroup_as_group,
     subgroups,
@@ -462,19 +461,6 @@ def test_conjugacy_classes_partition_the_lattice():
         assert {H.mask for H in cls} == orbit
         # representative is the least mask, and classes are sorted
         assert rep.mask == min(H.mask for H in cls)
-
-
-def test_right_cosets_partition_identity_first():
-    G = make_group("dihedral:4")
-    for H in subgroups(G):
-        cosets = right_cosets(G, H)
-        assert cosets[0] == H.mask
-        union = 0
-        for c in cosets:
-            assert c.bit_count() == H.order
-            assert union & c == 0
-            union |= c
-        assert union == G.full_mask
 
 
 def test_subgroup_as_group_is_isomorphic_embedding():

@@ -17,7 +17,7 @@ PUBLIC = {
     "group": (
         "FiniteGroup", "GroupOrderBoundError", "GroupSpecError", "GroupTableError",
         "Subgroup", "conjugacy_classes_of_subgroups", "from_table",
-        "generating_set", "make_group", "right_cosets", "stabilizer_of_subset",
+        "generating_set", "make_group", "stabilizer_of_subset",
         "subgroup_as_group", "subgroups",
     ),
     "groupoid": (

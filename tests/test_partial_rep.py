@@ -6,6 +6,7 @@ import gc
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 from groups_util import build_roster
 from pargroupoid.group import indices_of_mask, make_group
@@ -16,10 +17,14 @@ from pargroupoid.semialgebra import (
     GammaAlgebra,
     GroupAlgebra,
 )
+import pargroupoid.partial_rep as partial_rep
 from pargroupoid.partial_rep import (
     ExtensionMembershipError,
+    _RANK_PRIME,
     _lift,
     _lower,
+    _rank,
+    _span_check,
     GammaHom,
     PartialAction,
     PartialActionFormatError,
@@ -29,6 +34,7 @@ from pargroupoid.partial_rep import (
     lambda_p,
     partial_action_from_json,
     regular_representation,
+    SpanReport,
     span_generation,
     verify_factorization,
     verify_idempotents,
@@ -250,6 +256,22 @@ def test_shrunken_identity_domain_is_reported():
     bad = report.check("identity_domain")
     assert not bad.passed and bad.witness == (1,)
     assert report.failures[0].name == "identity_domain"
+
+
+def test_action_check_holds_no_list_of_cases():
+    # each search makes its (g, h, gh) cases afresh; a list of all n^2 of
+    # them peaked at about 4.6 MB on this group
+    G = make_group("cyclic:256")
+    pa = PartialAction(G, 0, (frozenset(),) * G.order, ({},) * G.order)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = verify_partial_action(pa)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 500_000, peak
 
 
 def test_broken_composition_is_caught_by_both_systems():
@@ -603,3 +625,111 @@ def test_kpar_relations_bundle():
         GammaAlgebra(Gamma(make_group("dihedral:4")), QNN)).checks}
     assert "span_generation" not in names
     assert {"unit", "right_relation", "left_relation", "sandwich"} <= names
+
+
+def _rank_mod_p_oracle(rows, p):
+    """Gaussian elimination over GF(p) as it was written before it shared
+    one loop with the exact rank; rows are reduced in place."""
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    rank = 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        base = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], base)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _rank_exact_oracle(rows):
+    """Fraction elimination as it was written before the shared loop."""
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    rank = 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        base = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / base[col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], base)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _both_ranks(rows, p):
+    return (_rank(rows, p), _rank(rows),
+            _rank_mod_p_oracle([row[:] for row in rows], p),
+            _rank_exact_oracle([[Fraction(v) for v in row] for row in rows]))
+
+
+def test_rank_matches_both_eliminations_on_zero_one_rows():
+    rng = random.Random(31)
+    short = 0
+    for trial in range(300):
+        n_rows, n_cols = rng.randrange(7), rng.randrange(1, 7)
+        density = rng.random()
+        rows = [[int(rng.random() < density) for _ in range(n_cols)]
+                for _ in range(n_rows)]
+        frozen = [row[:] for row in rows]
+        for p in (2, 3, _RANK_PRIME):
+            mod_p, exact, mod_p_oracle, exact_oracle = _both_ranks(rows, p)
+            assert (mod_p, exact) == (mod_p_oracle, exact_oracle), (rows, p)
+            short += mod_p < exact
+        assert rows == frozen  # _rank works on its own copy
+    assert short  # GF(2) and GF(3) lose rank on some 0/1 draws
+
+
+def test_rank_tests_pivots_for_zero_in_the_field():
+    p = 7
+    assert _both_ranks([[p, 0], [0, 1]], p) == (1, 2, 1, 2)
+    assert _both_ranks([[2 * p, 3 * p], [p, -p]], p) == (0, 2, 0, 2)
+    rng = random.Random(37)
+    for trial in range(200):
+        # entries that are multiples of p next to small ones, signs mixed
+        rows = [[rng.choice((0, p, -p, 2 * p, 1, -1, 2, 3)) for _ in range(4)]
+                for _ in range(rng.randrange(1, 5))]
+        mod_p, exact, mod_p_oracle, exact_oracle = _both_ranks(rows, p)
+        assert (mod_p, exact) == (mod_p_oracle, exact_oracle), rows
+    assert _rank([], p) == _rank([]) == 0
+
+
+def test_a_short_modular_rank_falls_back_to_the_exact_one(monkeypatch):
+    # no span matrix tried is short mod p, so report one short rank mod p
+    calls = []
+
+    def short_mod_p(rows, p=None):
+        calls.append(p)
+        return _rank(rows, p) - 1 if p is not None else _rank(rows, p)
+
+    monkeypatch.setattr(partial_rep, "_rank", short_mod_p)
+    alg = GammaAlgebra(Gamma(make_group("cyclic:3")), QNN)
+    sr = span_generation(alg)
+    assert calls == [_RANK_PRIME, None]
+    assert sr.method == "exact"
+    assert sr.rank == alg.size and sr.complete
+
+
+def test_a_short_span_fails_with_its_rank():
+    span = SpanReport(gamma_size=12, generated=11, rank=11, complete=False,
+                      method="exact", products=99)
+    check = _span_check("uniqueness_span", span)
+    assert not check.passed
+    assert check.witness == (11, 12)
+    assert check.note == "rank 11 of 12 via exact"

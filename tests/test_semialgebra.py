@@ -400,13 +400,143 @@ def test_group_algebra_convolution_by_hand():
 
 
 def test_standard_algebra_product_matches_groupoid():
-    std = StandardAlgebra(StandardGroupoid(make_group("cyclic:2"), 2), NAT)
-    g = std.groupoid
-    for i, a in enumerate(std.basis):
-        for j, b in enumerate(std.basis):
-            p = g.product(a, b)
-            k = std.basis_product(i, j)
-            assert k == (None if p is None else std.index_of(p))
+    # each product row in closed form: entry j is the position of the
+    # groupoid product, None where it is undefined
+    for spec, m in (("cyclic:1", 1), ("cyclic:2", 2), ("klein4", 3), ("sym:3", 2)):
+        std = StandardAlgebra(StandardGroupoid(make_group(spec), m), NAT)
+        g = std.groupoid
+        for i, a in enumerate(std.basis):
+            row = std._row(i)
+            assert len(row) == std.size
+            for j, b in enumerate(std.basis):
+                p = g.product(a, b)
+                assert row[j] == (None if p is None else std.index_of(p))
+
+
+# The per-algebra loops that one convolution over product rows replaced,
+# kept as test-only oracles: the group algebra's own loop over the Cayley
+# table, and the generic loop over a basis product on index pairs.
+def _group_convolve_oracle(alg: GroupAlgebra, x: dict, y: dict) -> dict:
+    cayley = alg.group.cayley
+    sadd = alg.scalars.add
+    smul = alg.scalars.mul
+    out: dict = {}
+    for i, a in x.items():
+        row = cayley[i]
+        for j, b in y.items():
+            k = row[j]
+            c = smul(a, b)
+            out[k] = sadd(out[k], c) if k in out else c
+    return out
+
+
+def _standard_basis_product(std: StandardAlgebra, i: int, j: int):
+    m = std.groupoid.m
+    ha, rem = divmod(i, m * m)
+    ia, ja = divmod(rem, m)
+    hb, rem = divmod(j, m * m)
+    ib, jb = divmod(rem, m)
+    if ja != ib:
+        return None
+    return (std.groupoid.H.mul(ha, hb) * m + ia) * m + jb
+
+
+def _standard_convolve_oracle(std: StandardAlgebra, x: dict, y: dict) -> dict:
+    sadd = std.scalars.add
+    smul = std.scalars.mul
+    out: dict = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            k = _standard_basis_product(std, i, j)
+            if k is None:
+                continue
+            c = smul(a, b)
+            out[k] = sadd(out[k], c) if k in out else c
+    return out
+
+
+def _exact(v):
+    # a scalar with its type, through difference pairs, so that 1 and
+    # Fraction(1), or an unreduced pair and its reduction, tell apart
+    if isinstance(v, DeltaElement):
+        return (DeltaElement, _exact(v.pos), _exact(v.neg))
+    return (type(v), v)
+
+
+def _exact_items(coeffs: dict) -> list:
+    return [(k, _exact(v)) for k, v in coeffs.items()]
+
+
+# coefficient pools that mix ints with Fractions and, over the ring of
+# differences, hold unreduced pairs whose sums and products cancel
+_POOLS = {
+    "nat": (NAT, (1, 2, 3, 7)),
+    "qnn": (QNN, (1, 2, Fraction(1, 2), Fraction(3), Fraction(2, 3))),
+    "qnn-delta": (delta_of(QNN), (
+        DeltaElement(1, 0), DeltaElement(0, 1), DeltaElement(Fraction(3), 1),
+        DeltaElement(1, Fraction(3, 2)), DeltaElement(2, 1), DeltaElement(1, 2))),
+}
+
+
+def _pool_element(alg, pool, rng: random.Random) -> AlgebraElement:
+    keys = rng.sample(range(alg.size), rng.randrange(1, min(5, alg.size) + 1))
+    return AlgebraElement(alg, {k: rng.choice(pool) for k in keys})
+
+
+@pytest.mark.parametrize("pool", sorted(_POOLS))
+def test_group_algebra_products_match_the_old_loop(pool):
+    scalars, coeffs = _POOLS[pool]
+    rng = random.Random(43)
+    for _, G in build_roster():
+        alg = GroupAlgebra(G, scalars)
+        for _ in range(30):
+            x, y = _pool_element(alg, coeffs, rng), _pool_element(alg, coeffs, rng)
+            want = _group_convolve_oracle(alg, x.coeffs, y.coeffs)
+            assert _exact_items(alg.convolve(x.coeffs, y.coeffs)) == _exact_items(want)
+            assert _exact_items((x * y).coeffs) == _exact_items(
+                AlgebraElement(alg, want).coeffs)
+
+
+@pytest.mark.parametrize("pool", sorted(_POOLS))
+def test_standard_algebra_products_match_the_old_loop(pool):
+    scalars, coeffs = _POOLS[pool]
+    rng = random.Random(47)
+    for spec, m in (("cyclic:1", 2), ("cyclic:2", 2), ("sym:3", 2), ("cyclic:3", 3)):
+        std = StandardAlgebra(StandardGroupoid(make_group(spec), m), scalars)
+        for _ in range(30):
+            x, y = _pool_element(std, coeffs, rng), _pool_element(std, coeffs, rng)
+            want = _standard_convolve_oracle(std, x.coeffs, y.coeffs)
+            assert _exact_items(std.convolve(x.coeffs, y.coeffs)) == _exact_items(want)
+
+
+def _sub_oracle(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    # the merge subtraction repeated before it went through addition
+    S = x.algebra.scalars
+    out = dict(x.coeffs)
+    for i, c in y.coeffs.items():
+        nc = S.neg(c)
+        out[i] = S.add(out[i], nc) if i in out else nc
+    return AlgebraElement(x.algebra, out)
+
+
+@pytest.mark.parametrize("base", [NAT, QNN], ids=["nat-delta", "qnn-delta"])
+def test_subtraction_matches_the_old_merge(base):
+    # unreduced pairs stay as the merge left them, keys in its order, and
+    # pairs that cancel leave the support
+    S = delta_of(base)
+    pool = (DeltaElement(1, 0), DeltaElement(0, 1), DeltaElement(3, 1),
+            DeltaElement(1, 3), DeltaElement(2, 2), DeltaElement(base.one, 0))
+    rng = random.Random(53)
+    cancelled = 0
+    for alg in (GammaAlgebra(Gamma(Z3), S), GroupAlgebra(make_group("sym:3"), S)):
+        for _ in range(60):
+            x, y = _pool_element(alg, pool, rng), _pool_element(alg, pool, rng)
+            if rng.random() < 0.3:
+                y = AlgebraElement(alg, dict(reversed(list(x.coeffs.items()))))
+            want = _sub_oracle(x, y)
+            assert _exact_items((x - y).coeffs) == _exact_items(want.coeffs)
+            cancelled += len(x.coeffs.keys() | y.coeffs.keys()) - len(want.coeffs)
+    assert cancelled
 
 
 # ---------------------------------------------------------------------------
