@@ -8,10 +8,14 @@ that the defining relations hold:
     pi(g^-1) pi(g) pi(h) = pi(g^-1) pi(gh)
 
 The canonical example lambda_p lands in the groupoid semialgebra and sends g
-to the sum of all pairs (I, g). Every partial representation into an algebra
-over cancellative scalars extends to a unital homomorphism out of the whole
-groupoid semialgebra; the products that need negation are formed in the ring
-of differences and pulled back, and the factorization (unitality,
+to the sum of all pairs (I, g). A partial representation into an algebra A
+over cancellative scalars extends uniquely to a unital homomorphism from the
+whole groupoid semialgebra into A^D, the same algebra over the ring of
+differences of the scalars. The extension lies in A exactly when every
+bracket P(I) pulls back from A^D to A, and that is the restriction checked
+here: the products that need negation are formed in the ring of differences,
+and a bracket that does not pull back raises ExtensionMembershipError, even
+for a genuine partial representation. The factorization (unitality,
 multiplicativity, compatibility with lambda_p, uniqueness via span
 generation) is verified rather than assumed.
 
@@ -351,11 +355,15 @@ def verify_idempotents(pi: PartialRepMap) -> AxiomReport:
 # Extension to a homomorphism on the groupoid semialgebra.
 
 class ExtensionMembershipError(Exception):
-    """The extension formula left the non-negative part of the target.
+    """A bracket of the extension does not pull back into the target.
 
-    For a genuine partial representation this cannot happen; hitting it means
-    the input map was not one (or the code is wrong), so the witnesses are
-    kept for diagnosis.
+    The extension exists uniquely into the target over the ring of
+    differences and lies in the target exactly when every bracket pulls back,
+    so a genuine partial representation can raise this too: pi(e) = 1 and
+    pi(a) = E11 + E12 on cyclic:2 in M_2 over the non-negative rationals
+    needs P({e}) = 1 - pi(a), whose (1, 2) entry is -1. A map that is not a
+    partial representation can raise it as well. The witnesses are the
+    bracket's unreduced difference pairs.
     """
 
     def __init__(self, element: GammaElement, witnesses: list, target_name: str):

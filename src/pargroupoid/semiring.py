@@ -262,6 +262,109 @@ def check_semiring_laws(S: SemiringSpec, seed: int = DEFAULT_SEED) -> LawReport:
 # ---------------------------------------------------------------------------
 # Concrete scalar systems.
 
+# The QNN kernel. Values are ints and Fractions, always in lowest terms with a
+# positive denominator, so a sum or product is worked on the numerator and
+# denominator ints with the gcd steps of the stdlib's Fraction._add and
+# Fraction._mul, and a non-int result is built by _fraction without the
+# normalisation and type dispatch of Fraction.__new__. The type rules are the
+# stdlib's: int op int gives an int, and a Fraction operand gives a Fraction,
+# integral or not. Only the exact classes int and Fraction take the kernel;
+# any other operand, such as a bool or a subclass, goes through operator.
+
+_new_object = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d, for n and d already coprime with d > 0."""
+    f = _new_object(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def _qnn_add(a, b):
+    """a + b, exactly as operator.add gives it."""
+    if a.__class__ is int:
+        if b.__class__ is int:
+            return a + b
+        if b.__class__ is Fraction:
+            db = b._denominator
+            return _fraction(a * db + b._numerator, db)
+    elif a.__class__ is Fraction:
+        na, da = a._numerator, a._denominator
+        if b.__class__ is int:
+            return _fraction(na + da * b, da)
+        if b.__class__ is Fraction:
+            nb, db = b._numerator, b._denominator
+            g = gcd(da, db)
+            if g == 1:
+                return _fraction(na * db + da * nb, da * db)
+            s = da // g
+            t = na * (db // g) + nb * s
+            g2 = gcd(t, g)
+            if g2 == 1:
+                return _fraction(t, s * db)
+            return _fraction(t // g2, s * (db // g2))
+    return a + b
+
+
+def _qnn_mul(a, b):
+    """a * b, exactly as operator.mul gives it."""
+    if a.__class__ is int:
+        if b.__class__ is int:
+            return a * b
+        if b.__class__ is Fraction:
+            nb, db = b._numerator, b._denominator
+            g = gcd(a, db)
+            if g > 1:
+                a //= g
+                db //= g
+            return _fraction(a * nb, db)
+    elif a.__class__ is Fraction:
+        na, da = a._numerator, a._denominator
+        if b.__class__ is int:
+            g = gcd(b, da)
+            if g > 1:
+                b //= g
+                da //= g
+            return _fraction(na * b, da)
+        if b.__class__ is Fraction:
+            nb, db = b._numerator, b._denominator
+            g1 = gcd(na, db)
+            if g1 > 1:
+                na //= g1
+                db //= g1
+            g2 = gcd(nb, da)
+            if g2 > 1:
+                nb //= g2
+                da //= g2
+            return _fraction(na * nb, db * da)
+    return a * b
+
+
+def _qnn_eq(a, b) -> bool:
+    """a == b, exactly as operator.eq gives it: lowest terms are unique."""
+    if a.__class__ is int:
+        if b.__class__ is int:
+            return a == b
+        if b.__class__ is Fraction:
+            return b._denominator == 1 and b._numerator == a
+    elif a.__class__ is Fraction:
+        if b.__class__ is int:
+            return a._denominator == 1 and a._numerator == b
+        if b.__class__ is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+    return a == b
+
+
+def _qnn_sample(rng: Random) -> Fraction:
+    """Fraction(rng.randrange(0, 240), rng.randrange(1, 24)), in lowest terms."""
+    n = rng.randrange(0, 240)
+    d = rng.randrange(1, 24)
+    g = gcd(n, d)
+    return _fraction(n // g, d // g)
+
+
 def _rational_dot(pairs: Iterable[tuple[Any, Any]]):
     """The exact sum of a * b over rational pairs, normalised once.
 
@@ -273,39 +376,55 @@ def _rational_dot(pairs: Iterable[tuple[Any, Any]]):
     """
     num, den, ints = 0, 1, True
     for a, b in pairs:
-        if a.__class__ is int and b.__class__ is int:
-            num += a * b * den
-            continue
+        if a.__class__ is int:
+            if b.__class__ is int:
+                num += a * b * den
+                continue
+            p, q = a, 1
+        elif a.__class__ is Fraction:
+            p, q = a._numerator, a._denominator
+        else:
+            p, q = a.numerator, a.denominator
+        if b.__class__ is int:
+            p *= b
+        elif b.__class__ is Fraction:
+            p *= b._numerator
+            q *= b._denominator
+        else:
+            p *= b.numerator
+            q *= b.denominator
         ints = False
-        p = a.numerator * b.numerator
-        q = a.denominator * b.denominator
         if q == den:
             num += p
         else:
             g = gcd(den, q)
             num = num * (q // g) + p * (den // g)
             den = den // g * q
-    return num if ints else Fraction(num, den)
+    if ints:
+        return num
+    g = gcd(num, den)
+    return _fraction(num // g, den // g)
 
 
 #: Non-negative rationals, exact. A semifield. The constants are the ints 0
 #: and 1, which mix exactly with Fractions, compare and hash equal to them and
 #: print alike, so 0/1 work such as the canonical partial representation stays
 #: in int arithmetic; a non-integral value anywhere still yields Fractions.
+#: add, mul, eq, sample and dot run on the kernel above.
 QNN = SemiringSpec(
     name="qnn",
-    add=operator.add,
-    mul=operator.mul,
+    add=_qnn_add,
+    mul=_qnn_mul,
     zero=0,
     one=1,
-    eq=operator.eq,
+    eq=_qnn_eq,
     is_zero=operator.not_,
     claims_additively_cancellative=True,
     claims_semifield=True,
     mul_inverse=lambda a: None if a == 0 else Fraction(1) / Fraction(a),
     sample_prefix=(Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2),
                    Fraction(2, 3), Fraction(5, 2)),
-    sample=lambda rng: Fraction(rng.randrange(0, 240), rng.randrange(1, 24)),
+    sample=_qnn_sample,
     try_sub=lambda a, b: a - b if a >= b else None,
     dot=_rational_dot,
 )

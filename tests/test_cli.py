@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -635,10 +636,14 @@ def test_action_check_group_override(tmp_path, capsys):
 
 
 # QNN with the Fraction constants it had before they became the ints 0 and 1,
-# and without dot, so that its sums of products fold term by term: the
-# test-only oracle of both changes. Ints and Fractions mix exactly, compare
-# and hash equal and print alike, so no output may tell the two specs apart.
-QNN_FRACTIONS = dataclasses.replace(QNN, zero=Fraction(0), one=Fraction(1), dot=None)
+# without dot, so that its sums of products fold term by term, and with the
+# stdlib operators in place of the int-pair kernel: the test-only oracle of
+# all three changes. Ints and Fractions mix exactly, compare and hash equal
+# and print alike, so no output may tell the two specs apart.
+QNN_FRACTIONS = dataclasses.replace(
+    QNN, zero=Fraction(0), one=Fraction(1), dot=None,
+    add=operator.add, mul=operator.mul, eq=operator.eq,
+    sample=lambda rng: Fraction(rng.randrange(0, 240), rng.randrange(1, 24)))
 
 
 def _fast_and_oracle(capsys, monkeypatch, argv):

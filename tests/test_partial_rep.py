@@ -16,6 +16,8 @@ from pargroupoid.semialgebra import (
     BasisMismatchError,
     GammaAlgebra,
     GroupAlgebra,
+    MatrixAlgebra,
+    MatrixElement,
 )
 import pargroupoid.partial_rep as partial_rep
 from pargroupoid.partial_rep import (
@@ -42,7 +44,14 @@ from pargroupoid.partial_rep import (
     verify_partial_action,
     verify_partial_rep,
 )
-from pargroupoid.semiring import NAT, QNN, DeltaElement, delta_of
+from pargroupoid.semiring import (
+    BOOL,
+    NAT,
+    QNN,
+    DeltaElement,
+    SemiringPropertyError,
+    delta_of,
+)
 
 Z2 = make_group("cyclic:2")
 Z3 = make_group("cyclic:3")
@@ -364,6 +373,37 @@ def test_extension_membership_failure_over_nonnegative_rationals():
     galg = GroupAlgebra(Z2, QNN)
     pi = PartialRepMap(Z2, galg, [galg.one(), galg.basis_element(1).scale(2)])
     with pytest.raises(ExtensionMembershipError):
+        extend_to_gamma_hom(pi)
+
+
+def _idempotent_rep(scalars):
+    # pi(e) = 1 and pi(a) = E11 + E12 on cyclic:2, in M_2 built as
+    # regular_representation builds its target. pi(a) is idempotent, so
+    # every relation holds, but the bracket P({e}) = 1 - pi(a) has -1 at (1, 2).
+    entries = GroupAlgebra(make_group("cyclic:1"), scalars)
+    target = MatrixAlgebra(entries, 2)
+    unit = entries.basis_element(0)
+    return PartialRepMap(Z2, target, [target.one(),
+                                      MatrixElement(target, {(1, 1): unit, (1, 2): unit})])
+
+
+@pytest.mark.parametrize("scalars", [QNN, NAT], ids=["qnn", "nat"])
+def test_partial_representation_whose_extension_leaves_the_target(scalars):
+    # the extension exists into the ring of differences and is unique, but
+    # lies in the target only when every bracket pulls back; this one does not
+    pi = _idempotent_rep(scalars)
+    assert verify_partial_rep(pi).passed
+    with pytest.raises(ExtensionMembershipError) as exc:
+        extend_to_gamma_hom(pi)
+    err = exc.value
+    assert err.element == GammaElement(mask=1, g=0)
+    assert err.witnesses == [((0, 1, 2), DeltaElement(pos=0, neg=1))]
+
+
+def test_idempotent_rep_over_booleans_has_no_ring_of_differences():
+    pi = _idempotent_rep(BOOL)
+    assert verify_partial_rep(pi).passed
+    with pytest.raises(SemiringPropertyError, match="additive cancellation"):
         extend_to_gamma_hom(pi)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pargroupoid.semiring import (
+    _fraction,
     BOOL,
     EXHAUSTIVE_CARRIER_LIMIT,
     LAW_NAMES,
@@ -433,11 +435,12 @@ def test_law_checker_measures_zero_through_eq():
 # ---------------------------------------------------------------------------
 # The fused sum of products.
 
-def _fold_dot(S, pairs):
-    # the left fold that dot replaces, kept as its test-only oracle
-    acc = S.zero
+def _fold_dot(pairs):
+    # the left fold that dot replaces, kept as its test-only oracle; it adds
+    # and multiplies with the stdlib operators, not with the QNN kernel
+    acc = QNN.zero
     for a, b in pairs:
-        acc = S.add(acc, S.mul(a, b))
+        acc = acc + a * b
     return acc
 
 
@@ -467,7 +470,7 @@ def _dot_cases():
 def test_qnn_dot_matches_the_fold_in_value_and_type():
     seen = set()
     for pairs in _dot_cases():
-        want = _fold_dot(QNN, pairs)
+        want = _fold_dot(pairs)
         got = QNN.dot(pairs)
         assert got == want and type(got) is type(want), pairs
         # it takes any iterable of pairs, such as a zip
@@ -484,7 +487,7 @@ rational = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
 
 @given(st.lists(st.tuples(rational, rational), max_size=50))
 def test_qnn_dot_is_the_fold(pairs):
-    got, want = QNN.dot(pairs), _fold_dot(QNN, pairs)
+    got, want = QNN.dot(pairs), _fold_dot(pairs)
     assert got == want and type(got) is type(want)
 
 
@@ -492,3 +495,110 @@ def test_only_qnn_supplies_dot():
     assert QNN.dot is not None
     for S in (NAT, BOOL, delta_of(QNN), delta_of(NAT)):
         assert S.dot is None, S.name
+
+
+# ---------------------------------------------------------------------------
+# The int-pair kernel of QNN, against the stdlib operators it replaces.
+
+def _assert_alike(got, want):
+    # equal, of the same exact type, and alike in every way a value shows
+    assert _same(got, want), (got, want)
+    assert (str(got), repr(got), hash(got)) == (str(want), repr(want), hash(want))
+
+
+def _kernel_operands():
+    # ints, both zeros, whole Fractions, and denominators up to 10^4
+    rng = random.Random(26)
+    values = [0, 1, 2, -3, Fraction(0), Fraction(1), Fraction(7), Fraction(1, 2),
+              Fraction(-5, 6), Fraction(9999, 10000)]
+    for _ in range(120):
+        values.append(_rational(rng, rng.choice(("int", "zero", "whole", "small",
+                                                 "large"))))
+    return values
+
+
+_KERNEL_ORACLES = [(QNN.add, operator.add), (QNN.mul, operator.mul),
+                   (QNN.eq, operator.eq)]
+
+
+@pytest.mark.parametrize("kernel, oracle", _KERNEL_ORACLES,
+                         ids=["add", "mul", "eq"])
+def test_qnn_kernel_matches_the_stdlib_operators(kernel, oracle):
+    values = _kernel_operands()
+    for a in values:
+        for b in values:
+            _assert_alike(kernel(a, b), oracle(a, b))
+    # every pairing of int and Fraction occurs
+    assert {(type(a), type(b)) for a in values for b in values} == set(
+        itertools.product((int, Fraction), repeat=2))
+
+
+integer_or_fraction = st.one_of(st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+                                st.fractions(max_denominator=10 ** 4),
+                                st.fractions())
+
+
+@given(integer_or_fraction, integer_or_fraction)
+def test_qnn_kernel_matches_the_stdlib_operators_on_drawn_values(a, b):
+    for kernel, oracle in _KERNEL_ORACLES:
+        _assert_alike(kernel(a, b), oracle(a, b))
+
+
+@given(st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+       st.integers(min_value=1, max_value=10 ** 12))
+def test_fraction_constructor_matches_fraction(n, d):
+    g = math.gcd(n, d)
+    _assert_alike(_fraction(n // g, d // g), Fraction(n, d))
+
+
+def test_fraction_constructor_matches_fraction_on_seeded_pairs():
+    rng = random.Random(2026)
+    for _ in range(2000):
+        n, d = rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 4)
+        g = math.gcd(n, d)
+        _assert_alike(_fraction(n // g, d // g), Fraction(n, d))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE])
+def test_qnn_sample_draws_the_stdlib_fraction(seed):
+    kernel, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(2000):
+        _assert_alike(QNN.sample(kernel),
+              Fraction(oracle.randrange(0, 240), oracle.randrange(1, 24)))
+    assert kernel.getstate() == oracle.getstate()
+
+
+class _TaggedFraction(Fraction):
+    # a Fraction subclass whose operators say they ran
+    def __add__(self, other):
+        return "add"
+
+    def __mul__(self, other):
+        return "mul"
+
+    def __eq__(self, other):
+        return "eq"
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def test_qnn_kernel_sends_other_classes_through_operator():
+    # only the exact classes int and Fraction take the kernel: a bool or a
+    # subclass gives what the stdlib operator gives
+    tagged = _TaggedFraction(3, 4)
+    others = (True, False, tagged)
+    plain = (0, 2, Fraction(0), Fraction(1, 3), Fraction(5))
+    for kernel, oracle in _KERNEL_ORACLES:
+        for x in others:
+            for y in plain + others:
+                for a, b in ((x, y), (y, x)):
+                    want = oracle(a, b)
+                    if isinstance(want, str):
+                        assert kernel(a, b) == want
+                    else:
+                        _assert_alike(kernel(a, b), want)
+    assert (QNN.add(2, tagged), QNN.mul(Fraction(1, 3), tagged),
+            QNN.eq(tagged, 1)) == ("add", "mul", "eq")
+    _assert_alike(QNN.add(True, True), 2)
+    _assert_alike(QNN.mul(True, Fraction(2, 3)), Fraction(2, 3))
+    assert QNN.eq(True, Fraction(1)) is True
