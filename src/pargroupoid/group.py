@@ -14,7 +14,6 @@ import json
 import os
 import re
 import stat
-from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations, product, repeat
 from operator import add, itemgetter
@@ -32,6 +31,9 @@ DEFAULT_SEED = 0xC0FFEE
 # runs (the 2^23 subsets of S4, about 15 s); at orders 30 and 40 a walk runs
 # out of memory instead of finishing. The subgroup lattice stops here too.
 MAX_ORDER_BOUND = 24
+
+# Byte positions in a mask of the largest group a subset walk takes.
+_TABLE_POSITIONS = (MAX_ORDER_BOUND + 7) // 8
 
 # cyclic:n and dihedral:n build and validate a full Cayley table, so their
 # order is capped; order 1024 is a million entries.
@@ -228,8 +230,8 @@ class FiniteGroup:
             self.labels = labels
         else:
             self.labels = ("e",) + tuple(f"g{i}" for i in range(1, n))
-        self._subgroups: tuple[Subgroup, ...] | None = None
-        self._translate_tables: list[tuple[list[int], ...] | None] = [None] * n
+        self._subgroups: dict[int, Subgroup] | None = None
+        self._translate_tables: list[tuple[Sequence[int], ...] | None] = [None] * n
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -247,32 +249,38 @@ class FiniteGroup:
         return self.labels[a]
 
     def left_translate(self, g: int, mask: int) -> int:
-        """The subset g*I as a mask, read from byte tables.
+        """The subset g*I as a mask, read from the byte tables of g.
 
-        Byte c of I holds the elements 8c..8c+7, and tables[c][b] is the
-        mask of g*x over the elements x of byte value b, so g*I is the OR of
-        one entry per byte: ceil(n/8) lookups. The tables of g, 2^8 entries
-        per byte position (fewer for a partial last byte), are built on the
-        first translate by g; a group holds at most n * ceil(n/8) * 256 of
-        these ints, 8,192 at order 16, and none until it translates. A mask
-        outside 0..full_mask raises ValueError.
+        g*I is the OR of one entry of `translate_tables(g)` per byte of I.
+        A mask outside 0..full_mask raises ValueError.
         """
         if mask < 0 or mask > self.full_mask:
             raise ValueError(
                 f"mask {mask} is not a subset of a group of order {self.order}")
-        tables = self._translate_tables[g]
-        if tables is None:
-            tables = self._build_translate_tables(g)
         out = 0
-        for table in tables:
+        for table in self._translate_tables[g] or self.translate_tables(g):
             out |= table[mask & 255]
             mask >>= 8
         return out
 
-    def _build_translate_tables(self, g: int) -> tuple[list[int], ...]:
-        # entry b ORs the image bits of the set bits of b; they are disjoint
-        tables = tuple(_byte_tables([1 << y for y in self.cayley[g]], 0))
-        self._translate_tables[g] = tables
+    def translate_tables(self, g: int) -> tuple[Sequence[int], ...]:
+        """The byte tables of left translation by g, built on first use.
+
+        Byte c of a mask I holds the elements 8c..8c+7, and tables[c][b] is
+        the mask of g*x over the elements x of byte value b, so g*I is the OR
+        of one entry per byte. A table has 2^8 entries (2^r for a partial
+        last byte of r elements); a group holds at most n * ceil(n/8) * 256
+        of these ints, 8,192 at order 16, and none until it translates.
+        Tables past the last byte, up to the _TABLE_POSITIONS that a subset
+        walk can reach, are (0,): a subset has a zero byte there. So a walk
+        reads three entries at every order it allows.
+        """
+        tables = self._translate_tables[g]
+        if tables is None:
+            # entry b ORs the image bits of the set bits of b; they are disjoint
+            tables = tuple(_byte_tables([1 << y for y in self.cayley[g]], 0))
+            tables += ((0,),) * (_TABLE_POSITIONS - len(tables))
+            self._translate_tables[g] = tables
         return tables
 
     def conjugate_mask(self, g: int, mask: int) -> int:
@@ -285,28 +293,41 @@ class FiniteGroup:
         return "{" + ",".join(self.labels[x] for x in indices_of_mask(mask)) + "}"
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its element mask; closure is validated on build."""
+    """A subgroup given by its element mask; closure is validated on build.
 
-    group: FiniteGroup
-    mask: int
+    Two compare equal, and hash alike, when their group and mask are equal.
+    """
 
-    def __post_init__(self):
-        G = self.group
-        if not self.mask & 1:
-            raise ValueError(f"subgroup {G.subset_repr(self.mask)} misses the identity")
-        elems = indices_of_mask(self.mask)
+    __slots__ = ("group", "mask")
+
+    def __init__(self, group: FiniteGroup, mask: int):
+        self.group = group
+        self.mask = mask
+        G = group
+        if not mask & 1:
+            raise ValueError(f"subgroup {G.subset_repr(mask)} misses the identity")
+        elems = indices_of_mask(mask)
+        rows, inv = G.cayley, G.inv
         for a in elems:
-            if not self.mask >> G.inverse(a) & 1:
+            if not mask >> inv[a] & 1:
                 raise ValueError(
-                    f"subset {G.subset_repr(self.mask)} not closed under inverse of "
+                    f"subset {G.subset_repr(mask)} not closed under inverse of "
                     f"{G.label(a)}")
+            row = rows[a]
             for b in elems:
-                if not self.mask >> G.mul(a, b) & 1:
+                if not mask >> row[b] & 1:
                     raise ValueError(
-                        f"subset {G.subset_repr(self.mask)} not closed under "
+                        f"subset {G.subset_repr(mask)} not closed under "
                         f"{G.label(a)}*{G.label(b)}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.mask))
 
     @property
     def order(self) -> int:
@@ -456,7 +477,7 @@ def stabilizer_of_subset(G: FiniteGroup, mask: int) -> Subgroup:
     for g in indices_of_mask(mask):
         if G.left_translate(g, mask) == mask:
             stab |= 1 << g
-    return Subgroup(G, stab)
+    return _lattice_subgroup(G, stab)
 
 
 def _check_bound(G: FiniteGroup, bound: int | None, what: str) -> None:
@@ -470,31 +491,32 @@ def _check_bound(G: FiniteGroup, bound: int | None, what: str) -> None:
 
 
 def _closure_mask(G: FiniteGroup, mask: int) -> int:
+    rows, inv = G.cayley, G.inv
     closed = 1
     frontier = mask | 1
     while frontier:
         new = 0
         for a in indices_of_mask(frontier):
-            new |= 1 << G.inverse(a)
+            row = rows[a]
+            new |= 1 << inv[a]
             for b in indices_of_mask(closed | frontier):
-                new |= 1 << G.mul(a, b)
-                new |= 1 << G.mul(b, a)
+                new |= 1 << row[b] | 1 << rows[b][a]
         closed |= frontier
         frontier = new & ~closed
     return closed
 
 
-def subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All subgroups, by incremental closure; sorted by (order, mask).
+def _lattice(G: FiniteGroup) -> dict[int, Subgroup]:
+    """Every subgroup by mask, in (order, mask) order; built once per group.
 
-    The lattice is walked once per group, with no bound, and kept on it; a
-    group above MAX_ORDER_BOUND is refused. Each call returns a fresh list.
+    The lattice grows by incremental closure, with no bound; a group above
+    MAX_ORDER_BOUND is refused.
     """
+    if G._subgroups is not None:
+        return G._subgroups
     if G.order > MAX_ORDER_BOUND:
         raise GroupOrderBoundError(f"subgroup enumeration: order {G.order} "
                                    f"exceeds the hard ceiling {MAX_ORDER_BOUND}")
-    if G._subgroups is not None:
-        return list(G._subgroups)
     found = {1}
     frontier = {1}
     while frontier:
@@ -508,9 +530,31 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                     found.add(c)
                     nxt.add(c)
         frontier = nxt
-    G._subgroups = tuple(Subgroup(G, m)
-                         for m in sorted(found, key=lambda m: (m.bit_count(), m)))
-    return list(G._subgroups)
+    G._subgroups = {m: Subgroup(G, m)
+                    for m in sorted(found, key=lambda m: (m.bit_count(), m))}
+    return G._subgroups
+
+
+def subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """All subgroups, by incremental closure; sorted by (order, mask).
+
+    The lattice is walked once per group, with no bound, and kept on it; a
+    group above MAX_ORDER_BOUND is refused. Each call returns a fresh list.
+    """
+    return list(_lattice(G).values())
+
+
+def _lattice_subgroup(G: FiniteGroup, mask: int) -> Subgroup:
+    """The Subgroup of mask as the lattice of G holds it.
+
+    Walks that meet the same few subgroups many times take them from here,
+    so each is built and validated once per group. A mask the lattice lacks,
+    or any mask of a group above MAX_ORDER_BOUND, which has no lattice, is
+    built as Subgroup(G, mask), whose closure check raises ValueError when
+    it is no subgroup.
+    """
+    H = _lattice(G).get(mask) if G.order <= MAX_ORDER_BOUND else None
+    return Subgroup(G, mask) if H is None else H
 
 
 def conjugacy_classes_of_subgroups(G: FiniteGroup) -> list[list[Subgroup]]:
@@ -527,7 +571,7 @@ def conjugacy_classes_of_subgroups(G: FiniteGroup) -> list[list[Subgroup]]:
             continue
         orbit = sorted({G.conjugate_mask(g, H.mask) for g in G.elements()})
         seen.update(orbit)
-        classes.append([Subgroup(G, m) for m in orbit])
+        classes.append([_lattice_subgroup(G, m) for m in orbit])
     classes.sort(key=lambda cls: (cls[0].order, cls[0].mask))
     return classes
 

@@ -14,17 +14,17 @@ isotropy in integer positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .group import (
     FiniteGroup,
     Subgroup,
     _byte_tables,
     _check_bound,
+    _lattice_subgroup,
     _sums_over_masks_with_e,
     indices_of_mask,
     mask_from_indices,
@@ -42,8 +42,7 @@ class VerificationError(AssertionError):
     """
 
 
-@dataclass(frozen=True, order=True)
-class GammaElement:
+class GammaElement(NamedTuple):
     """A pair (I, g): the subset mask I and the group element index g."""
 
     mask: int
@@ -210,29 +209,37 @@ def unit_components(G: FiniteGroup) -> Iterator[tuple[tuple[int, ...], Subgroup]
     first at its least mask, its base. Each entry is (vertices ascending,
     stabilizer of the base). The isotropy comes from the same |base|
     translates as the orbit: x^-1 * I = I exactly when x is in Stab(I), and
-    Stab(I) lies inside I, so no second pass over the base is needed. The
-    vertex count m must tile the base as m * |isotropy| = |base|; this is
-    asserted because every later structure computation leans on it. All
-    2^(order-1) masks are walked, so callers check the order bound first.
-    The components are yielded one at a time, so a caller that only counts
-    them holds one orbit, not every vertex.
+    Stab(I) lies inside I, so no second pass over the base is needed. Each
+    translate ORs one entry of each of the three byte tables of x^-1
+    (`FiniteGroup.translate_tables`). The isotropy is the Subgroup that
+    `subgroups(G)` holds, as a few subgroups serve thousands of components;
+    a stabilizer missing from that lattice is built, and so validated, on
+    its own. The vertex count m must tile the base as m * |isotropy| =
+    |base|; this is asserted because every later structure computation
+    leans on it. All 2^(order-1) masks are walked, so callers check the
+    order bound first. The components are yielded one at a time, so a
+    caller that only counts them holds one orbit, not every vertex.
     """
-    translate, inv = G.left_translate, G.inv
-    seen = bytearray(1 << G.order)
-    for base in range(1, 1 << G.order, 2):
+    n = G.order
+    # the tables of x^-1 at x
+    tables = list(map(G.translate_tables, G.inv))
+    seen = bytearray(1 << n)
+    for base in range(1, 1 << n, 2):
         if seen[base]:
             continue
+        low, mid, high = base & 255, base >> 8 & 255, base >> 16
         orbit = set()
         stab = 0
         for x in indices_of_mask(base):
-            v = translate(inv[x], base)
+            t0, t1, t2 = tables[x]
+            v = t0[low] | t1[mid] | t2[high]
             if v == base:
                 stab |= 1 << x
             orbit.add(v)
         vertices = tuple(sorted(orbit))
         for v in vertices:
             seen[v] = 1
-        isotropy = Subgroup(G, stab)
+        isotropy = _lattice_subgroup(G, stab)
         if len(vertices) * isotropy.order != base.bit_count():
             raise VerificationError(
                 f"component at {G.subset_repr(base)}: {len(vertices)} vertices "
@@ -244,8 +251,7 @@ def unit_components(G: FiniteGroup) -> Iterator[tuple[tuple[int, ...], Subgroup]
 # ---------------------------------------------------------------------------
 # The standard groupoid of triples over a group.
 
-@dataclass(frozen=True, order=True)
-class StandardElement:
+class StandardElement(NamedTuple):
     """A triple (h, i, j): group element h, range vertex i, source vertex j."""
 
     h: int

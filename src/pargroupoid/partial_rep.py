@@ -28,11 +28,10 @@ counterexample in a fixed search order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
-from typing import Any
+from typing import Any, NamedTuple
 
 from .group import (
     DEFAULT_SEED,
@@ -68,7 +67,6 @@ _SPAN_LIMIT = 6
 # ---------------------------------------------------------------------------
 # Partial actions on finite sets.
 
-@dataclass
 class PartialAction:
     """Per-element domains D_g with bijections alpha_g: D_{g^-1} -> D_g.
 
@@ -78,10 +76,12 @@ class PartialAction:
     only pins the shape.
     """
 
-    group: FiniteGroup
-    set_size: int
-    domains: tuple[frozenset[int], ...]
-    maps: tuple[dict[int, int], ...]
+    def __init__(self, group: FiniteGroup, set_size: int,
+                 domains: tuple[frozenset[int], ...], maps: tuple[dict[int, int], ...]):
+        self.group = group
+        self.set_size = set_size
+        self.domains = domains
+        self.maps = maps
 
 
 def _structural_check(pa: PartialAction) -> None:
@@ -532,8 +532,7 @@ def extend_to_gamma_hom(pi: PartialRepMap,
 # ---------------------------------------------------------------------------
 # Span generation: the canonical images generate the whole semialgebra.
 
-@dataclass(frozen=True)
-class SpanReport:
+class SpanReport(NamedTuple):
     """Outcome of closing the canonical images under left multiplication.
 
     Every product is a 0/1 combination; `generated` counts the distinct

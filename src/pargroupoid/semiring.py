@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd
 from random import Random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .group import DEFAULT_SEED
 
@@ -57,7 +56,6 @@ class SemiringPropertyError(ValueError):
     """An operation needs a property the scalar system does not provide."""
 
 
-@dataclass(frozen=True, eq=False)
 class SemiringSpec:
     """A scalar system: carrier plus operations and declared properties.
 
@@ -76,32 +74,53 @@ class SemiringSpec:
     Specs are singletons (QNN, NAT, BOOL and the cached `delta_of` of each),
     so they compare and hash by identity: algebras key their scalar variants
     by spec, and hashing the fields would hash the Fraction sample prefix
-    and the nested base on every lookup.
+    and the nested base on every lookup. The attributes are exactly the
+    constructor's arguments, with is_zero resolved.
     """
 
-    name: str
-    add: Callable[[Any, Any], Any] = field(repr=False)
-    mul: Callable[[Any, Any], Any] = field(repr=False)
-    zero: Any = field(repr=False)
-    one: Any = field(repr=False)
-    eq: Callable[[Any, Any], bool] = field(repr=False)
-    claims_additively_cancellative: bool = False
-    claims_semifield: bool = False
-    mul_inverse: Callable[[Any], Any] | None = field(default=None, repr=False)
-    carrier: tuple[Any, ...] | None = field(default=None, repr=False)
-    sample_prefix: tuple[Any, ...] = field(default=(), repr=False)
-    sample: Callable[[Random], Any] | None = field(default=None, repr=False)
-    try_sub: Callable[[Any, Any], Any] | None = field(default=None, repr=False)
-    neg: Callable[[Any], Any] | None = field(default=None, repr=False)
-    fmt: Callable[[Any], str] = field(default=str, repr=False)
-    base: "SemiringSpec | None" = field(default=None, repr=False)
-    is_zero: Callable[[Any], bool] | None = field(default=None, repr=False)
-    dot: Callable[[Iterable[tuple[Any, Any]]], Any] | None = field(default=None, repr=False)
+    def __init__(self, name: str,
+                 add: Callable[[Any, Any], Any],
+                 mul: Callable[[Any, Any], Any],
+                 zero: Any,
+                 one: Any,
+                 eq: Callable[[Any, Any], bool],
+                 claims_additively_cancellative: bool = False,
+                 claims_semifield: bool = False,
+                 mul_inverse: Callable[[Any], Any] | None = None,
+                 carrier: tuple[Any, ...] | None = None,
+                 sample_prefix: tuple[Any, ...] = (),
+                 sample: Callable[[Random], Any] | None = None,
+                 try_sub: Callable[[Any, Any], Any] | None = None,
+                 neg: Callable[[Any], Any] | None = None,
+                 fmt: Callable[[Any], str] = str,
+                 base: SemiringSpec | None = None,
+                 is_zero: Callable[[Any], bool] | None = None,
+                 dot: Callable[[Iterable[tuple[Any, Any]]], Any] | None = None):
+        if is_zero is None:
+            is_zero = lambda x: eq(x, zero)
+        self.name = name
+        self.add = add
+        self.mul = mul
+        self.zero = zero
+        self.one = one
+        self.eq = eq
+        self.claims_additively_cancellative = claims_additively_cancellative
+        self.claims_semifield = claims_semifield
+        self.mul_inverse = mul_inverse
+        self.carrier = carrier
+        self.sample_prefix = sample_prefix
+        self.sample = sample
+        self.try_sub = try_sub
+        self.neg = neg
+        self.fmt = fmt
+        self.base = base
+        self.is_zero = is_zero
+        self.dot = dot
 
-    def __post_init__(self):
-        if self.is_zero is None:
-            eq, zero = self.eq, self.zero
-            object.__setattr__(self, "is_zero", lambda x: eq(x, zero))
+    def __repr__(self) -> str:
+        return (f"SemiringSpec(name={self.name!r}, claims_additively_cancellative="
+                f"{self.claims_additively_cancellative!r}, claims_semifield="
+                f"{self.claims_semifield!r})")
 
     @property
     def is_delta(self) -> bool:
@@ -123,8 +142,7 @@ class SemiringSpec:
 # ---------------------------------------------------------------------------
 # Check reports, shared by every layer that verifies a law or an axiom.
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     """One universally quantified check: its verdict and first counterexample."""
 
     name: str
@@ -133,12 +151,28 @@ class AxiomCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
 class AxiomReport:
-    """The checks run on one subject; it passes when every check passes."""
+    """The checks run on one subject; it passes when every check passes.
 
-    subject: str
-    checks: tuple[AxiomCheck, ...]
+    Reports are values: two of one class are equal, and hash alike, when
+    their attributes are.
+    """
+
+    def __init__(self, subject: str, checks: tuple[AxiomCheck, ...]):
+        self.subject = subject
+        self.checks = checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
     @property
     def passed(self) -> bool:
@@ -155,15 +189,18 @@ class AxiomReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-@dataclass(frozen=True)
 class LawReport(AxiomReport):
     """Measured laws for one scalar system, plus claim consistency.
 
-    The subject is the system's name and the checks are its laws.
+    The subject is the system's name and the checks are its laws; mode is
+    "exhaustive" or "sampled".
     """
 
-    mode: str  # "exhaustive" | "sampled"
-    claim_issues: tuple[str, ...]
+    def __init__(self, subject: str, checks: tuple[AxiomCheck, ...], mode: str,
+                 claim_issues: tuple[str, ...]):
+        super().__init__(subject, checks)
+        self.mode = mode
+        self.claim_issues = claim_issues
 
     @property
     def claims_consistent(self) -> bool:
@@ -372,9 +409,12 @@ def _rational_dot(pairs: Iterable[tuple[Any, Any]]):
     the product denominators so far, carry the sum; the Fraction is built at
     the end. Ints stay ints: the sum is an int when every operand is one,
     and a Fraction, integral or not, as soon as one operand is a Fraction,
-    exactly as the fold of `*` and `+` would give it.
+    exactly as the fold of `*` and `+` would give it. From the first pair
+    with an operand of another class, such as a bool, on, the sum is that
+    fold itself, through _qnn_add and _qnn_mul.
     """
     num, den, ints = 0, 1, True
+    pairs = iter(pairs)
     for a, b in pairs:
         if a.__class__ is int:
             if b.__class__ is int:
@@ -384,15 +424,14 @@ def _rational_dot(pairs: Iterable[tuple[Any, Any]]):
         elif a.__class__ is Fraction:
             p, q = a._numerator, a._denominator
         else:
-            p, q = a.numerator, a.denominator
+            break
         if b.__class__ is int:
             p *= b
         elif b.__class__ is Fraction:
             p *= b._numerator
             q *= b._denominator
         else:
-            p *= b.numerator
-            q *= b.denominator
+            break
         ints = False
         if q == den:
             num += p
@@ -400,6 +439,16 @@ def _rational_dot(pairs: Iterable[tuple[Any, Any]]):
             g = gcd(den, q)
             num = num * (q // g) + p * (den // g)
             den = den // g * q
+    else:
+        return _dot_total(num, den, ints)
+    total = _qnn_add(_dot_total(num, den, ints), _qnn_mul(a, b))
+    for a, b in pairs:
+        total = _qnn_add(total, _qnn_mul(a, b))
+    return total
+
+
+def _dot_total(num: int, den: int, ints: bool):
+    """The sum num/den that _rational_dot carries, as the fold would type it."""
     if ints:
         return num
     g = gcd(num, den)
@@ -464,8 +513,7 @@ BOOL = SemiringSpec(
 # ---------------------------------------------------------------------------
 # Rings of differences.
 
-@dataclass(frozen=True)
-class DeltaElement:
+class DeltaElement(NamedTuple):
     """Formal difference pos - neg of two carrier values, kept unreduced.
 
     Structural equality of the pairs is finer than equality in the ring of

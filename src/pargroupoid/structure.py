@@ -28,15 +28,15 @@ reported rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .group import (
     FiniteGroup,
     Subgroup,
     _check_bound,
+    _lattice_subgroup,
     conjugacy_classes_of_subgroups,
     generating_set,
     indices_of_mask,
@@ -207,7 +207,7 @@ def recursion_diff(G: FiniteGroup, enum: dict[tuple[int, int], int]) -> list[dic
         r = rec.get((mask, m), Fraction(0))
         rows.append({
             "H_order": mask.bit_count(),
-            "H_gens": generating_set(Subgroup(G, mask)),
+            "H_gens": generating_set(_lattice_subgroup(G, mask)),
             "m": m,
             "enumeration": e,
             "recursion": int(r) if r.denominator == 1 else str(r),
@@ -406,8 +406,7 @@ def cross_component_orthogonality(gamma: Gamma) -> tuple[bool, tuple | None]:
 # ---------------------------------------------------------------------------
 # The decomposition itself.
 
-@dataclass(frozen=True)
-class BlockDescriptor:
+class BlockDescriptor(NamedTuple):
     """One block: c copies of the m x m matrix semialgebra over KH."""
 
     subgroup: Subgroup
@@ -426,8 +425,9 @@ class BlockDescriptor:
                 "m": self.m, "c": self.c}
 
 
-@dataclass(frozen=True)
-class DecompositionSummary:
+class DecompositionSummary(NamedTuple):
+    """The block table of one group, with the dimension audit."""
+
     group: str
     blocks: tuple[BlockDescriptor, ...]
     gamma_size: int

@@ -1,4 +1,4 @@
-"""Group builders shared across the tests.
+"""Group builders, and a scalar-spec copier, shared across the tests.
 
 The interesting desk-scale targets are every isomorphism class of order at
 most 8. Fourteen classes exist: Z1..Z8, the Klein four-group, S3, D4, the
@@ -96,3 +96,9 @@ def order_16_roster() -> list[tuple[str, FiniteGroup]]:
     z4 = make_group("cyclic:4")
     return [("Z16", make_group("cyclic:16")), ("D8", make_group("dihedral:8")),
             ("Z4xZ4", direct_product(z4, z4, "Z4xZ4"))]
+
+
+def respec(spec, **changes):
+    """A new SemiringSpec with every attribute of spec, is_zero as already
+    resolved included, except those named in changes."""
+    return type(spec)(**{**vars(spec), **changes})

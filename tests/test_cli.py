@@ -1,6 +1,5 @@
 """Command-line behavior: documents, byte stability, exit codes."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pargroupoid
-from groups_util import build_roster, q8_doc
+from groups_util import build_roster, q8_doc, respec
 from pargroupoid import cli, semialgebra, semiring, structure
 from pargroupoid.cli import run
 from pargroupoid.group import FiniteGroup
@@ -457,8 +456,8 @@ def test_verification_error_exits_1(capsys, monkeypatch):
 
 
 # Imports pargroupoid.cli, runs argv (if any) with stdout discarded, and
-# prints the exit code and the sorted pargroupoid, numpy and array modules
-# loaded.
+# prints the exit code and the sorted pargroupoid, numpy, array, dataclasses
+# and inspect modules loaded.
 _MODULES_PROBE = """
 import contextlib, io, json, sys
 import pargroupoid.cli
@@ -467,7 +466,8 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = pargroupoid.cli.run(sys.argv[1:])
 print(json.dumps([code, sorted(
-    m for m in sys.modules if m.split(".")[0] in ("pargroupoid", "numpy", "array"))]))
+    m for m in sys.modules if m.split(".")[0] in (
+        "pargroupoid", "numpy", "array", "dataclasses", "inspect"))]))
 """
 
 
@@ -490,7 +490,9 @@ def test_importing_the_cli_does_not_load_numpy():
 # layers it runs. Without a bytecode cache each loaded module is compiled on
 # every start, so a module loaded here and not needed is start-up time lost.
 # A command that builds a Gamma also loads `array`, a shared library that
-# `gamma` and a plain `decompose` must not map.
+# `gamma` and a plain `decompose` must not map. No command loads
+# `dataclasses`, which brings `inspect`, `ast`, `dis` and `tokenize` with it:
+# records are NamedTuples and the other classes plain ones.
 _BASE_MODULES = ("cli", "group", "groupoid")
 
 
@@ -640,7 +642,7 @@ def test_action_check_group_override(tmp_path, capsys):
 # stdlib operators in place of the int-pair kernel: the test-only oracle of
 # all three changes. Ints and Fractions mix exactly, compare and hash equal
 # and print alike, so no output may tell the two specs apart.
-QNN_FRACTIONS = dataclasses.replace(
+QNN_FRACTIONS = respec(
     QNN, zero=Fraction(0), one=Fraction(1), dot=None,
     add=operator.add, mul=operator.mul, eq=operator.eq,
     sample=lambda rng: Fraction(rng.randrange(0, 240), rng.randrange(1, 24)))

@@ -375,14 +375,33 @@ def test_masks_outside_the_group_raise():
 
 
 def test_translate_tables_are_built_per_element_on_first_use():
+    # two full byte positions, padded by a one-entry table to the three that
+    # a walk at MAX_ORDER_BOUND reads
     G = make_group("dihedral:8")
     assert G._translate_tables == [None] * 16
     G.left_translate(5, 0b1011)
     built = [t for t in G._translate_tables if t is not None]
-    assert len(built) == 1 and [len(t) for t in built[0]] == [256, 256]
+    assert len(built) == 1 and [len(t) for t in built[0]] == [256, 256, 1]
+    assert built[0] is G.translate_tables(5)
     for g in G.elements():
         G.left_translate(g, 1)
-    assert sum(len(t) for ts in G._translate_tables for t in ts) == 16 * 2 * 256
+    assert sum(len(t) for ts in G._translate_tables for t in ts) == 16 * (2 * 256 + 1)
+
+
+@pytest.mark.parametrize("spec, lengths", [
+    ("cyclic:1", [2, 1, 1]), ("cyclic:12", [256, 16, 1]),
+    ("sym:4", [256, 256, 256]), ("cyclic:30", [256, 256, 256, 64])])
+def test_translate_tables_pad_to_three_byte_positions(spec, lengths):
+    G = make_group(spec)
+    for g in G.elements():
+        tables = G.translate_tables(g)
+        assert [len(t) for t in tables] == lengths
+        for mask in (0, 1, G.full_mask, G.full_mask >> 1):
+            out, rest = 0, mask
+            for table in tables:
+                out |= table[rest & 255]
+                rest >>= 8
+            assert out == G.left_translate(g, mask) == bit_loop_translate(G, g, mask)
 
 
 def test_conjugate_mask_matches_elementwise():
@@ -447,6 +466,27 @@ def test_stabilizer_is_the_fixing_subgroup():
         stab = stabilizer_of_subset(G, mask)
         expected = {g for g in G.elements() if G.left_translate(g, mask) == mask}
         assert set(stab.elements()) == expected
+
+
+def test_subgroup_walks_take_the_lattice_entries():
+    # stabilizers and conjugacy classes hand out the lattice's own objects,
+    # each built and validated once per group
+    G = make_group("dihedral:4")
+    lattice = {H.mask: H for H in subgroups(G)}
+    for mask in range(1, 1 << G.order, 2):
+        stab = stabilizer_of_subset(G, mask)
+        assert stab is lattice[stab.mask]
+    for cls in conjugacy_classes_of_subgroups(G):
+        assert all(H is lattice[H.mask] for H in cls)
+    # a group above MAX_ORDER_BOUND has no lattice: its stabilizer is built
+    # on its own, and equal to the subgroup of the same mask
+    G = make_group("cyclic:30")
+    stab = stabilizer_of_subset(G, mask_from_indices((0, 5, 10, 15, 20, 25, 1)))
+    assert G._subgroups is None
+    assert stab == Subgroup(G, 1) and hash(stab) == hash(Subgroup(G, 1))
+    stab = stabilizer_of_subset(G, mask_from_indices(range(0, 30, 10)))
+    assert stab.elements() == [0, 10, 20]
+    assert stab != Subgroup(make_group("cyclic:30"), stab.mask)
 
 
 def test_conjugacy_classes_partition_the_lattice():

@@ -15,16 +15,19 @@ from groups_util import (
 from pargroupoid.group import (
     MAX_ORDER_BOUND,
     GroupOrderBoundError,
+    Subgroup,
     indices_of_mask,
     make_group,
     mask_from_indices,
     subgroup_as_group,
+    subgroups,
 )
 from pargroupoid.groupoid import (
     Gamma,
     GammaElement,
     StandardElement,
     StandardGroupoid,
+    VerificationError,
     arrow_rows,
     gamma_size,
     unit_components,
@@ -188,6 +191,79 @@ def test_unit_components_match_union_find_oracle(name, G):
         base = vertices[0]
         assert isotropy.mask == mask_from_indices(
             g for g in G.elements() if bit_loop_translate(G, g, base) == base)
+
+
+# The walk that unit_components replaced, kept as its test-only oracle: one
+# left_translate call per element of each base, and one Subgroup, built and
+# validated on its own, per component.
+def _translate_walk_components(G):
+    translate, inv = G.left_translate, G.inv
+    seen = bytearray(1 << G.order)
+    for base in range(1, 1 << G.order, 2):
+        if seen[base]:
+            continue
+        orbit = set()
+        stab = 0
+        for x in indices_of_mask(base):
+            v = translate(inv[x], base)
+            if v == base:
+                stab |= 1 << x
+            orbit.add(v)
+        vertices = tuple(sorted(orbit))
+        for v in vertices:
+            seen[v] = 1
+        isotropy = Subgroup(G, stab)
+        assert len(vertices) * isotropy.order == base.bit_count()
+        yield vertices, isotropy
+
+
+# dihedral:9 reads the third byte position of the tables
+@pytest.mark.parametrize("name,G", build_roster() + order_16_roster()
+                         + [("D9", make_group("dihedral:9"))])
+def test_unit_components_match_the_translate_walk(name, G):
+    found = list(unit_components(G))
+    assert [(vertices, isotropy.mask) for vertices, isotropy in found] == [
+        (vertices, isotropy.mask)
+        for vertices, isotropy in _translate_walk_components(G)]
+    # each isotropy group is the lattice's own object
+    lattice = {H.mask: H for H in subgroups(G)}
+    assert all(isotropy is lattice[isotropy.mask] for _, isotropy in found)
+
+
+def _translate_as(monkeypatch, G, g, h):
+    """Make the walk read the byte tables of h where it reads those of g."""
+    tables = G.translate_tables
+    monkeypatch.setattr(G, "translate_tables", lambda x: tables(h if x == g else x))
+
+
+def test_walk_refuses_a_component_that_cannot_tile(monkeypatch):
+    # with a2 translating as e, the base {e, a, a2} has isotropy {e, a2} and
+    # the two vertices {e, a, a2} and {e, a, a3}: 2 * 2 elements for 3
+    G = make_group("cyclic:4")
+    _translate_as(monkeypatch, G, 2, 0)
+    with pytest.raises(VerificationError, match=r"component at \{e,a,a2\}: "
+                       "2 vertices with isotropy order 2 cannot tile"):
+        list(unit_components(G))
+
+
+def test_walk_builds_a_stabilizer_missing_from_the_lattice(monkeypatch):
+    # with a3 translating as e, {e, a} reads as its own stabilizer; it is no
+    # subgroup, so the lattice lacks it and its closure check refuses it
+    G = make_group("cyclic:4")
+    _translate_as(monkeypatch, G, 3, 0)
+    with pytest.raises(ValueError, match=r"subset \{e,a\} not closed under inverse of a$"):
+        list(unit_components(G))
+
+
+def test_walk_builds_isotropy_the_lattice_lacks(monkeypatch):
+    G = make_group("dihedral:4")
+    expected = [(vertices, isotropy) for vertices, isotropy in unit_components(G)]
+    kept = {m: H for m, H in G._subgroups.items() if m.bit_count() != 2}
+    monkeypatch.setattr(G, "_subgroups", kept)
+    found = list(unit_components(G))
+    assert found == expected
+    built = [isotropy for _, isotropy in found if isotropy.order == 2]
+    assert built and all(isotropy.mask not in kept for isotropy in built)
 
 
 @pytest.mark.parametrize("name,G", build_roster())

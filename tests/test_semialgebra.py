@@ -1,6 +1,5 @@
 """Free-basis semialgebras: convolution, matrices, tensors, differences."""
 
-import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from groups_util import build_roster, direct_product
+from groups_util import build_roster, direct_product, respec
 from pargroupoid.cli import _suite_assoc
 from pargroupoid.group import FiniteGroup, indices_of_mask, make_group
 from pargroupoid.groupoid import Gamma, GammaElement, StandardElement, StandardGroupoid
@@ -709,7 +708,7 @@ def _counting_qnn():
         calls.append(len(pairs))
         return QNN.dot(pairs)
 
-    return dataclasses.replace(QNN, name="qnn-counting", dot=dot), calls
+    return respec(QNN, name="qnn-counting", dot=dot), calls
 
 
 def test_matrix_product_calls_dot_once_per_coefficient():

@@ -1,6 +1,5 @@
 """Scalar systems: measured laws, claim consistency, ring of differences."""
 
-import dataclasses
 import itertools
 import math
 import operator
@@ -10,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from groups_util import respec
 from pargroupoid.semiring import (
     _fraction,
     BOOL,
@@ -162,7 +162,7 @@ def _broken_mul(a, b):
 BROKEN3 = SemiringSpec(name="broken3", add=_broken_add, mul=_broken_mul, zero=0,
                        one=1, eq=operator.eq, claims_additively_cancellative=True,
                        carrier=(0, 1, 2))
-BROKEN3_SAMPLED = dataclasses.replace(BROKEN3, name="broken3-sampled", carrier=None,
+BROKEN3_SAMPLED = respec(BROKEN3, name="broken3-sampled", carrier=None,
                                       sample=lambda rng: rng.randrange(3))
 
 
@@ -427,7 +427,7 @@ def test_is_zero_defaults_to_eq_with_zero():
 def test_law_checker_measures_zero_through_eq():
     # a spec's is_zero is a fast path, not a law: a wrong one must not turn
     # the zero of QNN into a missing inverse or an unannihilated product
-    wrong = dataclasses.replace(QNN, name="qnn-wrong-zero", is_zero=lambda x: False)
+    wrong = respec(QNN, name="qnn-wrong-zero", is_zero=lambda x: False)
     report = check_semiring_laws(wrong)
     assert report.checks == check_semiring_laws(QNN).checks
 
@@ -602,3 +602,33 @@ def test_qnn_kernel_sends_other_classes_through_operator():
     _assert_alike(QNN.add(True, True), 2)
     _assert_alike(QNN.mul(True, Fraction(2, 3)), Fraction(2, 3))
     assert QNN.eq(True, Fraction(1)) is True
+
+
+def _dot_outcome(dot, pairs):
+    try:
+        return dot(pairs)
+    except TypeError as exc:
+        return type(exc)
+
+
+def test_qnn_dot_sends_other_classes_through_the_fold():
+    # a pair with an operand outside the exact classes int and Fraction
+    # leaves the kernel: from it on the sum is the fold's, in value and type
+    _assert_alike(QNN.dot([(True, True)]), 1)
+    _assert_alike(QNN.dot([(True, 2)]), 2)
+    _assert_alike(QNN.dot([(Fraction(1, 2), 2), (3, False)]), Fraction(1))
+    tagged = _TaggedFraction(3, 4)
+    others = (True, False, tagged)
+    plain = (0, 2, Fraction(0), Fraction(1, 3), Fraction(5))
+    for x in others:
+        for y in plain + others:
+            for pair in ((x, y), (y, x)):
+                for before in ((), ((2, 3),), ((Fraction(1, 3), 2),)):
+                    for after in ((), ((5, 5),), ((Fraction(1, 2), 4),), ((True, 3),)):
+                        pairs = [*before, pair, *after]
+                        want = _dot_outcome(_fold_dot, pairs)
+                        got = _dot_outcome(QNN.dot, pairs)
+                        if isinstance(want, (str, type)):
+                            assert got == want, pairs
+                        else:
+                            _assert_alike(got, want)

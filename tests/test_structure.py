@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from groups_util import build_roster
-from pargroupoid import semialgebra, structure
+from pargroupoid import groupoid, semialgebra, structure
 from pargroupoid.group import (
     FiniteGroup,
     GroupOrderBoundError,
@@ -16,6 +16,7 @@ from pargroupoid.group import (
     conjugacy_classes_of_subgroups,
     make_group,
     subgroup_as_group,
+    subgroups,
 )
 from pargroupoid.groupoid import (
     Gamma,
@@ -518,24 +519,53 @@ def test_report_work_is_bounded(monkeypatch):
     # One mask walk per report: |I| translations for each component's base I,
     # which give its orbit and its isotropy together. A separate stabilizer
     # pass made 67,888, and the per-arrow union-find made 692,800
-    # translations and enumerated twice per report.
-    calls = {"translate": 0, "enumerate": 0}
+    # translations and enumerated twice per report. The walk reads the byte
+    # tables itself, one base at a time, so its translations are counted as
+    # the elements of the bases it lists, and left_translate is never called.
+    # Its isotropy groups, the conjugacy classes and the recursion rows take
+    # their subgroups from the lattice, so each is built and validated once;
+    # building one per component, conjugate and row made 4,366 here.
+    # The subgroup closures and closure checks read the Cayley rows; through
+    # mul they made 59,727 calls.
+    calls = {"translate": 0, "walked": 0, "enumerate": 0, "subgroup": 0, "mul": 0}
     translate = FiniteGroup.left_translate
+    mul = FiniteGroup.mul
+    indices = groupoid.indices_of_mask
     enumerate_ = structure.multiplicity_enumeration
+    subgroup_init = Subgroup.__init__
 
     def counting_translate(self, g, mask):
         calls["translate"] += 1
         return translate(self, g, mask)
 
+    def counting_mul(self, a, b):
+        calls["mul"] += 1
+        return mul(self, a, b)
+
+    def counting_indices(mask):
+        out = indices(mask)
+        calls["walked"] += len(out)
+        return out
+
     def counting_enumerate(*args, **kwargs):
         calls["enumerate"] += 1
         return enumerate_(*args, **kwargs)
 
+    def counting_subgroup(self, group, mask):
+        calls["subgroup"] += 1
+        subgroup_init(self, group, mask)
+
+    G = make_group("dihedral:8")
     monkeypatch.setattr(FiniteGroup, "left_translate", counting_translate)
+    monkeypatch.setattr(FiniteGroup, "mul", counting_mul)
+    monkeypatch.setattr(groupoid, "indices_of_mask", counting_indices)
     monkeypatch.setattr(structure, "multiplicity_enumeration", counting_enumerate)
-    decomposition_report(make_group("dihedral:8"))
-    assert calls["translate"] == 33_944
+    monkeypatch.setattr(Subgroup, "__init__", counting_subgroup)
+    decomposition_report(G)
+    assert calls["walked"] == 33_944
+    assert calls["translate"] == calls["mul"] == 0
     assert calls["enumerate"] == 1
+    assert calls["subgroup"] == len(subgroups(G)) == 19
 
 
 def test_enumeration_holds_one_component_at_a_time():
