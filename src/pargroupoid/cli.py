@@ -53,6 +53,9 @@ SUITE_ORDER = ("laws", "assoc", "partialrep", "extension", "tensor", "delta",
 # out: when printing the line itself raises MemoryError, these bytes go to
 # fd 2 directly, so the run still exits 4 and not as a counterexample.
 _MEMORY_ERROR_LINE = b"internal error: MemoryError: \n"
+# A streamed listing is written in batches of at least this many characters,
+# one write each: with an unbuffered stdout every write is a system call.
+_BATCH_CHARS = 1 << 16
 
 
 def _scalar(name: str) -> SemiringSpec:
@@ -84,7 +87,7 @@ def _emit(doc: dict | Callable[[str], Iterable[str]], args,
 
     A listing too large to hold as one document or string is passed as a
     callable instead: called with the format, it yields the same bytes in
-    chunks, which are written as they come.
+    chunks, which are joined and written in batches of about _BATCH_CHARS.
     """
     if callable(doc):
         chunks = doc(args.format)
@@ -93,8 +96,15 @@ def _emit(doc: dict | Callable[[str], Iterable[str]], args,
     else:
         chunks = (render(doc),)
     write = sys.stdout.write
+    batch, size = [], 0
     for chunk in chunks:
-        write(chunk)
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH_CHARS:
+            write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        write("".join(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +366,9 @@ def _gamma_chunks(G: FiniteGroup, fmt: str) -> Iterator[str]:
     in all, one arrow each. Each mask's I block is read from byte tables of
     rendered elements (every I holds e, index 0, so the tables render the
     rest), its g come from `arrow_rows`, and its chunk is one str.join of
-    the arrow tails (g and unit flag; the unit is g = e) with the arrow
-    prefix as the separator.
+    the arrow tails (g and unit flag; the unit is g = e) after the arrow
+    prefix, which leads every tail; a JSON prefix opens with the ","
+    between arrows, which the first chunk drops.
     """
     n = G.order
     labels = [G.label(i) for i in G.elements()]
@@ -372,11 +383,12 @@ def _gamma_chunks(G: FiniteGroup, fmt: str) -> Iterator[str]:
                  for g in range(n)]
         blocks = _sums_over_masks_with_e(
             _byte_tables([""] + [f",\n        {x}" for x in range(1, n)], ""))
-        sep = "\n"
+        first = True
         for block, row in zip(blocks, rows):
-            arrow = '    {\n      "I": [\n        0' + block + '\n      ],\n      "g": '
-            yield sep + arrow + (",\n" + arrow).join(map(tails.__getitem__, row))
-            sep = ",\n"
+            lead = ',\n    {\n      "I": [\n        0' + block + '\n      ],\n      "g": '
+            chunk = lead.join(("", *map(tails.__getitem__, row)))
+            yield chunk[1:] if first else chunk
+            first = False
         yield "\n  ]\n}\n"
     else:
         yield f"Gamma({G.name}): {size} arrows, {unit_count} units\n"
@@ -384,8 +396,8 @@ def _gamma_chunks(G: FiniteGroup, fmt: str) -> Iterator[str]:
         names = _sums_over_masks_with_e(
             _byte_tables([""] + ["," + labels[x] for x in range(1, n)], ""))
         for name, row in zip(names, rows):
-            arrow = "  ({" + labels[0] + name + "}"
-            yield arrow + arrow.join(map(tails.__getitem__, row))
+            lead = "  ({" + labels[0] + name + "}"
+            yield lead.join(("", *map(tails.__getitem__, row)))
 
 
 def _cmd_gamma(args) -> int:
@@ -548,12 +560,20 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GroupTableError, GroupOrderBoundError, PartialActionFormatError,
             OSError, json.JSONDecodeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # stdout still holds bytes, which the interpreter flushes at
+            # exit: point fd 1 at os.devnull so that flush cannot fail too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except VerificationError as exc:

@@ -1,6 +1,8 @@
 """Command-line behavior: documents, byte stability, exit codes."""
 
+import errno
 import hashlib
+import io
 import itertools
 import json
 import operator
@@ -17,7 +19,7 @@ import pargroupoid
 from groups_util import build_roster, q8_doc, respec
 from pargroupoid import cli, semialgebra, semiring, structure
 from pargroupoid.cli import run
-from pargroupoid.group import FiniteGroup
+from pargroupoid.group import FiniteGroup, make_group
 from pargroupoid.groupoid import VerificationError
 from pargroupoid.semiring import QNN
 
@@ -141,7 +143,8 @@ class _HashingSink:
 def test_gamma_streams_without_the_groupoid_arrays(monkeypatch):
     # Gamma's masks, gs and start hold about 1.5 MB at order 16, and a
     # listing read from a built Gamma peaked at 7.9 MB traced. The stream
-    # holds byte tables and one mask's chunk: 0.31 MB traced.
+    # holds byte tables and one batch of about 64 KiB of chunks: about
+    # 0.5 MB traced (0.31 MB when it wrote each mask's chunk on its own).
     sink = _HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -153,6 +156,84 @@ def test_gamma_streams_without_the_groupoid_arrays(monkeypatch):
     assert code == 0
     assert sink.sha256.hexdigest() == CYCLIC16_GAMMA_SHA256
     assert peak < 1024 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_gamma_listing_of_many_batches_matches_document_oracle(tmp_path, capsys,
+                                                               fmt):
+    # cyclic:12 again as a table, labelled with a quote, a backslash,
+    # non-ASCII and a character outside the BMP
+    labels = ["e", 'a"q\\b', "\u00e9\u4e2d\U0001F600"]
+    labels += [f"x{k}" for k in range(3, 12)]
+    table = [[(a + b) % 12 for b in range(12)] for a in range(12)]
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"order": 12, "table": table, "labels": labels}))
+    for spec in ("cyclic:12", "dihedral:6", f"table:{path}"):
+        code, out, _ = _run(capsys, ["gamma", "--group", spec, "--format", fmt])
+        assert code == 0
+        assert len(out) > 4 * cli._BATCH_CHARS, spec
+        assert out == _gamma_output_oracle(make_group(spec), fmt), spec
+
+
+class _CountingRaw(io.RawIOBase):
+    """A raw stdout that counts its writes and hashes the bytes."""
+
+    def __init__(self):
+        self.writes = 0
+        self.size = 0
+        self.sha256 = hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.writes += 1
+        self.size += len(data)
+        self.sha256.update(data)
+        return len(data)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["gamma", "--group", "cyclic:16"], CYCLIC16_GAMMA_SHA256),
+    (["decompose", "--group", "klein4"], hashlib.sha256(
+        (GOLDEN / "decompose_klein4.json").read_bytes()).hexdigest()),
+], ids=["gamma", "decompose"])
+def test_unbuffered_stdout_gets_one_write_per_batch(monkeypatch, argv, digest):
+    # the stdout that PYTHONUNBUFFERED=1 gives: each text write is one raw write
+    raw = _CountingRaw()
+    monkeypatch.setattr(sys, "stdout",
+                        io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    assert run(argv) == 0
+    assert raw.sha256.hexdigest() == digest
+    if argv[0] == "gamma":
+        assert raw.writes <= -(-raw.size // 65536) + 1
+    else:
+        assert raw.writes == 1
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["gamma", "--group", "cyclic:12"],
+                                  ["verify", "--group", "sym:3", "--suite", "laws"]],
+                         ids=["gamma", "verify"])
+def test_a_closed_stdout_exits_3_with_one_line(argv, unbuffered):
+    # A pipe with no reader fails every write. A buffered `verify` fits its
+    # document in the buffer, so only the flush inside `run` can fail; the
+    # interpreter's own flush at exit then goes to os.devnull.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(pargroupoid.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run([sys.executable, "-m", "pargroupoid.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (
+        3, f"error: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}\n")
 
 
 def test_gamma_writes_nothing_before_failing(capsys):
