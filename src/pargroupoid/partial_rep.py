@@ -28,7 +28,6 @@ counterexample in a fixed search order.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import combinations, product
 from random import Random
 from typing import Any, NamedTuple
@@ -55,7 +54,6 @@ from .semialgebra import (
 )
 from .semiring import AxiomCheck, AxiomReport, SemiringSpec, delta_of
 
-_RANK_PRIME = 2**31 - 1
 # The homomorphism check is exhaustive up to _PAIR_BUDGET basis pairs and
 # draws _SAMPLED_PAIRS seeded pairs above it; the span test that pins
 # uniqueness of the factorization runs up to order _SPAN_LIMIT.
@@ -535,77 +533,60 @@ def extend_to_gamma_hom(pi: PartialRepMap,
 class SpanReport(NamedTuple):
     """Outcome of closing the canonical images under left multiplication.
 
-    Every product is a 0/1 combination; `generated` counts the distinct
-    supports reached and `rank` their linear rank over the rationals. The
-    rank is certified modulo a large prime (a full-rank result mod p forces
-    full rank over the rationals); only a short rank falls back to exact
-    fraction elimination.
+    Every product reached is a superset sum zeta(I, g), the sum of the
+    arrows (J, g) over all J containing I, with coefficients 1: Exel's
+    normal form eps_{g1}...eps_{gk} lambda(g) (R. Exel, "Partial actions of
+    groups and actions of inverse semigroups", Proc. AMS 126, 1998). Its lead,
+    the least basis index in its support, is the arrow (I, g). Superset sums
+    with distinct leads are the rows of a unitriangular zeta matrix (G.-C.
+    Rota, "On the foundations of combinatorial theory I", 1964), so `rank`,
+    the number of distinct leads, is their exact rank over the rationals.
+    `products` counts the left products formed.
     """
 
     gamma_size: int
-    generated: int
     rank: int
     complete: bool
-    method: str
     products: int
 
 
-def _rank(rows: list[list], p: int | None = None) -> int:
-    """The rank of rows over GF(p), or exactly over the rationals when p is
-    None. The rows are copied, reduced mod p or as Fractions, so an entry is
-    truthy exactly when it is nonzero in the field."""
-    if p is None:
-        rows = [[Fraction(v) for v in row] for row in rows]
-    else:
-        rows = [[v % p for v in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        base = rows[rank]
-        inv = 1 / base[col] if p is None else pow(base[col], -1, p)
-        for i in range(rank + 1, len(rows)):
-            row = rows[i]
-            if row[col]:
-                f = row[col] * inv
-                if p is None:
-                    rows[i] = [a - f * b for a, b in zip(row, base)]
-                else:
-                    f %= p
-                    rows[i] = [(a - f * b) % p for a, b in zip(row, base)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def span_generation(algebra: GammaAlgebra) -> SpanReport:
-    """Close {lambda_p(g)} under left multiplication and measure the span.
+    """Close {lambda_p(g)} under left multiplication and certify the span.
 
-    The closure stays inside the family of sums over all supersets of a fixed
-    subset, so coefficients remain 0/1 and distinct supports identify distinct
-    products; reaching rank equal to the basis size shows any homomorphism is
-    pinned down by its values on the canonical images.
+    Each product must have coefficients 1 and the superset-sum shape of
+    SpanReport: one g throughout, every mask a superset of the lead's mask
+    I, and 2^(n - |I|) terms, so the support is every superset of I. Any
+    other product raises VerificationError. The closure is keyed on the
+    leads, and a rank equal to the basis size shows any homomorphism is
+    pinned down by its values on the canonical images. The certificate costs
+    a few reads of each product's support, with no elimination.
     """
-    lam = lambda_p(algebra)
+    gamma = algebra.gamma
+    masks, gs = gamma.masks, gamma.gs
+    n = gamma.group.order
     S = algebra.scalars
-    gens = lam.images
-    seen: dict[frozenset[int], AlgebraElement] = {}
+    gens = lambda_p(algebra).images
+    leads: set[int] = set()
     queue: deque[AlgebraElement] = deque()
     products = 0
 
     def admit(el: AlgebraElement) -> None:
-        key = frozenset(el.coeffs)
-        if not key or key in seen:
+        coeffs = el.coeffs
+        if not coeffs:
             return
-        for c in el.coeffs.values():
-            if not S.eq(c, S.one):
-                raise VerificationError(
-                    "left products of the canonical images left the 0/1 family")
-        seen[key] = el
-        queue.append(el)
+        if not all(S.eq(c, S.one) for c in coeffs.values()):
+            raise VerificationError(
+                "left products of the canonical images left the 0/1 family")
+        lead = min(coeffs)
+        mask, g = masks[lead], gs[lead]
+        if (len(coeffs) != 1 << n - mask.bit_count()
+                or any(gs[i] != g or masks[i] & mask != mask for i in coeffs)):
+            raise VerificationError(
+                "a left product of the canonical images with lead "
+                f"{gamma.describe(GammaElement(mask, g))} is not its superset sum")
+        if lead not in leads:
+            leads.add(lead)
+            queue.append(el)
 
     for g in gens:
         admit(g)
@@ -615,25 +596,22 @@ def span_generation(algebra: GammaAlgebra) -> SpanReport:
             products += 1
             admit(gen * cur)
 
-    supports = sorted(seen, key=lambda k: sorted(k))
-    rows = [[1 if i in sup else 0 for i in range(algebra.size)] for sup in supports]
-    rank = _rank(rows, _RANK_PRIME)
-    method = "mod-p"
-    if rank < algebra.size:
-        # The modular rank only bounds from below; confirm exactly.
-        rank = _rank(rows)
-        method = "exact"
-    return SpanReport(gamma_size=algebra.size, generated=len(seen), rank=rank,
-                      complete=rank == algebra.size, method=method, products=products)
+    return SpanReport(gamma_size=algebra.size, rank=len(leads),
+                      complete=len(leads) == algebra.size, products=products)
 
 
 # ---------------------------------------------------------------------------
 # Factorization through the groupoid semialgebra.
 
-def _span_check(name: str, span: SpanReport) -> AxiomCheck:
-    return AxiomCheck(name, span.complete,
-                      None if span.complete else (span.rank, span.gamma_size),
-                      note=f"rank {span.rank} of {span.gamma_size} via {span.method}")
+def _span_checks(name: str, algebra: GammaAlgebra) -> list[AxiomCheck]:
+    """The span check named `name` for groups up to order _SPAN_LIMIT, else
+    none."""
+    if algebra.gamma.group.order > _SPAN_LIMIT:
+        return []
+    span = span_generation(algebra)
+    note = f"rank {span.rank} of {span.gamma_size} via unitriangular leads"
+    return [AxiomCheck(name, span.complete,
+                       None if span.complete else (span.rank, span.gamma_size), note=note)]
 
 
 def verify_factorization(pi: PartialRepMap, pi_tilde: GammaHom, *,
@@ -658,8 +636,7 @@ def verify_factorization(pi: PartialRepMap, pi_tilde: GammaHom, *,
                    if pi_tilde.apply(lam.image(g)) != pi.image(g)), None)
     checks.append(AxiomCheck("factors_through_canonical", fact_w is None, fact_w))
 
-    if G.order <= _SPAN_LIMIT:
-        checks.append(_span_check("uniqueness_span", span_generation(pi_tilde.domain)))
+    checks.extend(_span_checks("uniqueness_span", pi_tilde.domain))
     return AxiomReport(subject=f"factorization for {G.name}", checks=tuple(checks))
 
 
@@ -672,8 +649,7 @@ def verify_kpar_relations(algebra: GammaAlgebra) -> AxiomReport:
     """
     G = algebra.gamma.group
     checks = list(verify_partial_rep(lambda_p(algebra)).checks)
-    if G.order <= _SPAN_LIMIT:
-        checks.append(_span_check("span_generation", span_generation(algebra)))
+    checks.extend(_span_checks("span_generation", algebra))
     return AxiomReport(subject=f"canonical relations for {G.name} "
                                f"over {algebra.scalars.name}",
                        checks=tuple(checks))
