@@ -4,8 +4,9 @@ Builds groups from a small spec grammar, lists groupoids, prints block
 decompositions, and runs verification suites. JSON is the machine format and
 is emitted with a fixed key order, two-space indent, and trailing newline, so
 identical invocations are byte-identical; text output is a rendering of the
-same data. Each suite seeds its own generator, so a suite produces the same
-checks whether run alone or as part of `all`.
+same data, and depends only on the arguments and the input files. Each suite
+seeds its own generator, so a suite produces the same checks whether run
+alone or as part of `all`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or spec errors,
 3 ingestion or validation errors, 4 internal error. Only a VerificationError,
@@ -66,19 +67,6 @@ def _scalar(name: str) -> SemiringSpec:
     if name == "nat":
         return NAT
     return delta_of(QNN)
-
-
-def _resolve_bound(args) -> int | None:
-    if args.bound is not None:
-        return args.bound
-    env = os.environ.get("PARGROUPOID_BOUND")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise GroupSpecError(
-            f"PARGROUPOID_BOUND must be an integer, got {env!r}") from None
 
 
 def _emit(doc: dict | Callable[[str], Iterable[str]], args,
@@ -402,19 +390,16 @@ def _gamma_chunks(G: FiniteGroup, fmt: str) -> Iterator[str]:
 
 def _cmd_gamma(args) -> int:
     G = make_group(args.group)
-    _check_bound(G, _resolve_bound(args), "building the groupoid")
+    _check_bound(G, args.bound, "building the groupoid")
     _emit(functools.partial(_gamma_chunks, G), args)
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    from .structure import decomposition_report, verify_component_isomorphisms
+    from .structure import decomposition_report
 
     G = make_group(args.group)
-    bound = _resolve_bound(args)
-    doc = decomposition_report(G, bound)
-    if args.scalar:
-        verify_component_isomorphisms(Gamma(G, bound), _scalar(args.scalar))
+    doc = decomposition_report(G, args.bound)
 
     def render(d: dict) -> str:
         lines = [f"KGamma({d['group']}): {d['gamma_size']} basis arrows"]
@@ -459,11 +444,10 @@ def _render_suites(doc: dict) -> str:
 def _cmd_verify(args) -> int:
     G = make_group(args.group)
     S = _scalar(args.scalar)
-    bound = _resolve_bound(args)
     names = SUITE_ORDER if args.suite == "all" else (args.suite,)
     suites = []
     for name in names:
-        checks = _SUITES[name](G, S, args.seed, bound)
+        checks = _SUITES[name](G, S, args.seed, args.bound)
         suites.append({"name": name, "checks": checks,
                        "passed": all(c["passed"] for c in checks)})
     doc = {
@@ -522,8 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # action-check walks no subsets, so it takes no bound
     bounded = argparse.ArgumentParser(add_help=False, parents=[common])
     bounded.add_argument("--bound", type=int, default=None,
-                         help="override the group-order bound "
-                              "(or set PARGROUPOID_BOUND)")
+                         help="group-order bound of the subset walks "
+                              "(default 16, at most 24)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gamma", parents=[bounded],
@@ -534,9 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", parents=[bounded],
                        help="block decomposition of the groupoid semialgebra")
     p.add_argument("--group", required=True)
-    p.add_argument("--scalar", choices=SCALAR_CHOICES, default=None,
-                   help="also verify every component isomorphism over these "
-                        "scalars")
 
     p = sub.add_parser("verify", parents=[bounded],
                        help="run verification suites")

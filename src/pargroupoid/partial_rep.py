@@ -118,7 +118,8 @@ def partial_action_from_json(doc: dict, group: FiniteGroup | None = None) -> Par
     The group comes from the `group` argument when given, else from an
     optional "group" key in the document (a spec string such as "cyclic:2" or
     an inline Cayley-table object). Domains and maps are keyed by the decimal
-    element index; every element must be present.
+    element index; every element must be present, and any other key is
+    refused.
     """
     if not isinstance(doc, dict):
         raise PartialActionFormatError(f"expected an object, got {type(doc).__name__}")
@@ -177,6 +178,14 @@ def partial_action_from_json(doc: dict, group: FiniteGroup | None = None) -> Par
             mp[src] = dst
         domains.append(frozenset(points))
         maps.append(mp)
+    # every key "0".."n-1" is present, so a longer object holds a stray key
+    for field, raw in (("domains", raw_domains), ("maps", raw_maps)):
+        if len(raw) > group.order:
+            names = {str(g) for g in range(group.order)}
+            stray = next(key for key in raw if key not in names)
+            raise PartialActionFormatError(
+                f'"{field}" key {stray!r} names no element; element keys run '
+                f"from 0 to {group.order - 1}")
 
     pa = PartialAction(group, size, tuple(domains), tuple(maps))
     _structural_check(pa)
@@ -352,7 +361,7 @@ def verify_idempotents(pi: PartialRepMap) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # Extension to a homomorphism on the groupoid semialgebra.
 
-class ExtensionMembershipError(Exception):
+class ExtensionMembershipError(VerificationError):
     """A bracket of the extension does not pull back into the target.
 
     The extension exists uniquely into the target over the ring of
@@ -361,7 +370,8 @@ class ExtensionMembershipError(Exception):
     pi(a) = E11 + E12 on cyclic:2 in M_2 over the non-negative rationals
     needs P({e}) = 1 - pi(a), whose (1, 2) entry is -1. A map that is not a
     partial representation can raise it as well. The witnesses are the
-    bracket's unreduced difference pairs.
+    bracket's unreduced difference pairs. Either way the failed pullback is a
+    counterexample, not a bug, so it is a VerificationError.
     """
 
     def __init__(self, element: GammaElement, witnesses: list, target_name: str):

@@ -28,9 +28,8 @@ reported rather than assumed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .group import (
     FiniteGroup,
@@ -57,14 +56,21 @@ from .groupoid import (
 # Only the component check over scalars builds algebras, so `decompose` and
 # the enumerations load neither the algebras nor the scalars.
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .semialgebra import MatrixAlgebra, StandardAlgebra
     from .semiring import SemiringSpec
 
 
-def _class_lookup(classes: list[list[Subgroup]]) -> tuple[dict[int, int], dict[int, Subgroup]]:
-    rep_of = {H.mask: cls[0].mask for cls in classes for H in cls}
-    rep_sub = {cls[0].mask: cls[0] for cls in classes}
-    return rep_of, rep_sub
+def _class_lookup(G: FiniteGroup) -> dict[int, int]:
+    """The mask of each subgroup's class representative, by subgroup mask."""
+    return {H.mask: cls[0].mask
+            for cls in conjugacy_classes_of_subgroups(G) for H in cls}
+
+
+def _block_order(key: tuple[int, int]) -> tuple[int, int, int]:
+    """Rows keyed (class mask, m) go by |H|, then m, then mask."""
+    return key[0].bit_count(), key[1], key[0]
 
 
 def multiplicity_enumeration(G: FiniteGroup,
@@ -76,8 +82,7 @@ def multiplicity_enumeration(G: FiniteGroup,
     `unit_components`, so no groupoid is built.
     """
     _check_bound(G, bound, "multiplicity enumeration")
-    classes = conjugacy_classes_of_subgroups(G)
-    rep_of, _ = _class_lookup(classes)
+    rep_of = _class_lookup(G)
     counts: dict[tuple[int, int], int] = {}
     for vertices, iso in unit_components(G):
         key = (rep_of[iso.mask], len(vertices))
@@ -113,8 +118,7 @@ def vertex_count_identity(G: FiniteGroup, counts: dict[tuple[int, int], int],
     stabilizer and matching size is a vertex of exactly one such component.
     counts is the enumeration table and census the stabilizer census of G.
     """
-    classes = conjugacy_classes_of_subgroups(G)
-    rep_of, _ = _class_lookup(classes)
+    rep_of = _class_lookup(G)
     by_class: dict[tuple[int, int], int] = {}
     for (mask, m), cnt in census.items():
         key = (rep_of[mask], m)
@@ -130,7 +134,17 @@ def vertex_count_identity(G: FiniteGroup, counts: dict[tuple[int, int], int],
 # ---------------------------------------------------------------------------
 # The recursion and its dissenting opinions.
 
-def multiplicity_recursion(G: FiniteGroup) -> dict[tuple[int, int], Fraction]:
+def _coarser_steps(subs: list[Subgroup], H: Subgroup,
+                   m: int) -> Iterator[tuple[int, int]]:
+    """(B mask, m / (B:H)) for every subgroup B >= H with (B:H) dividing m."""
+    for B in subs:
+        if (H.mask & B.mask) == H.mask:
+            step, rem = divmod(m, B.order // H.order)
+            if not rem:
+                yield B.mask, step
+
+
+def multiplicity_recursion(G: FiniteGroup) -> dict[tuple[int, int], int | Fraction]:
     """Multiplicities from the binomial recursion; diagnostic, not trusted.
 
     Subsets containing e that are unions of m right H-cosets number
@@ -140,8 +154,8 @@ def multiplicity_recursion(G: FiniteGroup) -> dict[tuple[int, int], Fraction]:
         N(H, m) = binom((G:H)-1, m-1)
                   - sum over H < B <= G with (B:H) | m of N(B, m / (B:H))
 
-    and the class multiplicity is |class| * N(rep, m) / m as an exact
-    fraction, left unreduced to integers so a wrong reading shows up as a
+    and the class multiplicity is |class| * N(rep, m) / m, kept exact: an
+    int when m divides it, else a Fraction, so a wrong reading shows up as a
     non-integral value instead of a crash.
     """
     subs = subgroups(G)
@@ -149,22 +163,21 @@ def multiplicity_recursion(G: FiniteGroup) -> dict[tuple[int, int], Fraction]:
     for H in sorted(subs, key=lambda s: -s.order):
         index = G.order // H.order
         for m in range(1, index + 1):
-            total = comb(index - 1, m - 1)
-            for B in subs:
-                if B.order <= H.order or (H.mask & B.mask) != H.mask:
-                    continue
-                step = B.order // H.order
-                if m % step == 0:
-                    total -= n_table[(B.mask, m // step)]
-            n_table[(H.mask, m)] = total
+            n_table[(H.mask, m)] = comb(index - 1, m - 1) - sum(
+                n_table[key] for key in _coarser_steps(subs, H, m)
+                if key[0] != H.mask)
 
-    classes = conjugacy_classes_of_subgroups(G)
-    out: dict[tuple[int, int], Fraction] = {}
-    for cls in classes:
+    out: dict[tuple[int, int], int | Fraction] = {}
+    for cls in conjugacy_classes_of_subgroups(G):
         rep = cls[0]
         index = G.order // rep.order
         for m in range(1, index + 1):
-            value = Fraction(len(cls) * n_table[(rep.mask, m)], m)
+            total = len(cls) * n_table[(rep.mask, m)]
+            value, rem = divmod(total, m)
+            if rem:
+                from fractions import Fraction
+
+                value = Fraction(total, m)
             if value:
                 out[(rep.mask, m)] = value
     return out
@@ -183,13 +196,7 @@ def coset_count_identity(G: FiniteGroup,
     for H in subs:
         index = G.order // H.order
         for m in range(1, index + 1):
-            lhs = 0
-            for B in subs:
-                if (H.mask & B.mask) != H.mask:
-                    continue
-                step = B.order // H.order
-                if m % step == 0:
-                    lhs += census.get((B.mask, m // step), 0)
+            lhs = sum(census.get(key, 0) for key in _coarser_steps(subs, H, m))
             rhs = comb(index - 1, m - 1)
             if lhs != rhs:
                 return False, (G.subset_repr(H.mask), m, lhs, rhs)
@@ -201,10 +208,9 @@ def recursion_diff(G: FiniteGroup, enum: dict[tuple[int, int], int]) -> list[dic
     recursion multiplicities."""
     rec = multiplicity_recursion(G)
     rows = []
-    for mask, m in sorted(enum.keys() | rec.keys(),
-                          key=lambda k: (k[0].bit_count(), k[1], k[0])):
+    for mask, m in sorted(enum.keys() | rec.keys(), key=_block_order):
         e = enum.get((mask, m), 0)
-        r = rec.get((mask, m), Fraction(0))
+        r = rec.get((mask, m), 0)
         rows.append({
             "H_order": mask.bit_count(),
             "H_gens": generating_set(_lattice_subgroup(G, mask)),
@@ -460,11 +466,8 @@ def decompose(G: FiniteGroup, bound: int | None = None) -> DecompositionSummary:
     """
     _check_bound(G, bound, "decomposing")
     counts = multiplicity_enumeration(G, bound)
-    _, rep_sub = _class_lookup(conjugacy_classes_of_subgroups(G))
-    blocks = tuple(
-        BlockDescriptor(rep_sub[mask], m, counts[(mask, m)])
-        for mask, m in sorted(counts,
-                              key=lambda k: (k[0].bit_count(), k[1], k[0])))
+    blocks = tuple(BlockDescriptor(_lattice_subgroup(G, mask), m, counts[(mask, m)])
+                   for mask, m in sorted(counts, key=_block_order))
     lhs = sum(b.c * b.m * b.m * b.H_order for b in blocks)
     rhs = gamma_size(G.order)
     return DecompositionSummary(

@@ -284,11 +284,12 @@ def test_decompose_matches_golden_bytes(capsys, spec):
 
 @pytest.mark.parametrize("scalar", ["qnn", "nat", "qnn-delta"])
 @pytest.mark.parametrize("spec", ["klein4", "dihedral:4"])
-def test_decompose_with_a_scalar_prints_the_same_bytes(capsys, spec, scalar):
-    # --scalar only adds the component check; the table holds no scalars
-    plain = _run(capsys, ["decompose", "--group", spec])
-    checked = _run(capsys, ["decompose", "--group", spec, "--scalar", scalar])
-    assert checked == plain and plain[0] == 0
+def test_decompose_takes_no_scalar(capsys, spec, scalar):
+    # the table holds no scalars; the component check over scalars runs
+    # through `verify --suite structure --scalar`, its one way in
+    code, out, err = _run(capsys, ["decompose", "--group", spec, "--scalar", scalar])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: --scalar {scalar}\n")
 
 
 def test_decompose_text_names_isotropy_generators_by_label(tmp_path, capsys):
@@ -493,7 +494,7 @@ def _raise_bare_assertion(*args, **kwargs):
     # but must let any other error through
     (["verify", "--group", "klein4", "--suite", "structure"],
      (structure, "_verify_block_type")),
-    (["decompose", "--group", "cyclic:3", "--scalar", "qnn"],
+    (["verify", "--group", "klein4", "--suite", "structure"],
      (structure, "_verify_normal_form")),
 ])
 def test_internal_error_exits_4_not_as_a_counterexample(capsys, monkeypatch,
@@ -530,15 +531,16 @@ def test_verification_error_exits_1(capsys, monkeypatch):
     check = doc["suites"][0]["checks"][0]
     assert check["name"] == "component_isomorphisms" and not check["passed"]
     assert err.startswith("first failure: component_isomorphisms")
-    monkeypatch.setattr(structure, "_verify_normal_form", refuse)
-    code, _, err = _run(capsys, ["decompose", "--group", "cyclic:3", "--scalar", "qnn"])
-    assert (code, err) == (1, "verification failure: matrix images fail "
-                              "multiplicativity\n")
+    # a VerificationError no suite catches ends the command with exit 1
+    monkeypatch.setattr(structure, "unit_components", refuse)
+    code, out, err = _run(capsys, ["decompose", "--group", "cyclic:3"])
+    assert (code, out, err) == (1, "", "verification failure: matrix images fail "
+                                       "multiplicativity\n")
 
 
 # Imports pargroupoid.cli, runs argv (if any) with stdout discarded, and
-# prints the exit code and the sorted pargroupoid, numpy, array, dataclasses
-# and inspect modules loaded.
+# prints the exit code and the sorted pargroupoid, numpy, array, dataclasses,
+# inspect, fractions, decimal and numbers modules loaded.
 _MODULES_PROBE = """
 import contextlib, io, json, sys
 import pargroupoid.cli
@@ -548,7 +550,8 @@ if sys.argv[1:]:
         code = pargroupoid.cli.run(sys.argv[1:])
 print(json.dumps([code, sorted(
     m for m in sys.modules if m.split(".")[0] in (
-        "pargroupoid", "numpy", "array", "dataclasses", "inspect"))]))
+        "pargroupoid", "numpy", "array", "dataclasses", "inspect",
+        "fractions", "decimal", "numbers"))]))
 """
 
 
@@ -573,15 +576,18 @@ def test_importing_the_cli_does_not_load_numpy():
 # A command that builds a Gamma also loads `array`, a shared library that
 # `gamma` and a plain `decompose` must not map. No command loads
 # `dataclasses`, which brings `inspect`, `ast`, `dis` and `tokenize` with it:
-# records are NamedTuples and the other classes plain ones.
+# records are NamedTuples and the other classes plain ones. Only the scalars
+# (`semiring`) load `fractions`, and with it `decimal` and `numbers`: the
+# block table of `decompose` is exact in ints.
 _BASE_MODULES = ("cli", "group", "groupoid")
+_FRACTION_MODULES = ("decimal", "fractions", "numbers")
 
 
 @pytest.mark.parametrize("argv, extra, builds_gamma", [
     ([], (), False),
     (["gamma", "--group", "klein4"], (), False),
     (["decompose", "--group", "klein4"], ("structure",), False),
-    (["decompose", "--group", "klein4", "--scalar", "qnn"],
+    (["verify", "--group", "klein4", "--suite", "structure"],
      ("semialgebra", "semiring", "structure"), True),
     (["verify", "--group", "klein4", "--suite", "delta"],
      ("semialgebra", "semiring"), True),
@@ -589,7 +595,7 @@ _BASE_MODULES = ("cli", "group", "groupoid")
      ("partial_rep", "semialgebra", "semiring", "structure"), True),
     (["action-check", "--file", "{action}"],
      ("partial_rep", "semialgebra", "semiring"), False),
-], ids=["import", "gamma", "decompose", "decompose-scalar", "verify-delta",
+], ids=["import", "gamma", "decompose", "verify-structure", "verify-delta",
         "verify-all", "action-check"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, extra, builds_gamma):
     action = tmp_path / "action.json"
@@ -599,7 +605,8 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, extra, builds_gamma
     argv = [arg.replace("{action}", str(action)) for arg in argv]
     code, modules = _loaded_modules(argv)
     assert code == 0
-    assert modules == sorted(["pargroupoid"] + ["array"] * builds_gamma + [
+    fractions = list(_FRACTION_MODULES) * ("semiring" in extra)
+    assert modules == sorted(["pargroupoid"] + ["array"] * builds_gamma + fractions + [
         f"pargroupoid.{name}" for name in _BASE_MODULES + extra])
 
 
@@ -633,12 +640,21 @@ def test_order_16_peak_memory(argv):
 
 
 def test_order_bound_env_and_flag(monkeypatch, capsys):
-    monkeypatch.setenv("PARGROUPOID_BOUND", "4")
-    assert _run(capsys, ["gamma", "--group", "cyclic:5"])[0] == 3
+    # the bound is set by --bound alone; PARGROUPOID_BOUND, which once set
+    # it too, is not read
+    assert _run(capsys, ["gamma", "--group", "cyclic:5", "--bound", "4"])[0] == 3
     assert _run(capsys, ["gamma", "--group", "cyclic:5", "--bound", "6"])[0] == 0
-
-    monkeypatch.setenv("PARGROUPOID_BOUND", "many")
-    assert _run(capsys, ["gamma", "--group", "cyclic:5"])[0] == 2
+    plain = _run(capsys, ["gamma", "--group", "cyclic:5"])
+    refused = _run(capsys, ["decompose", "--group", "cyclic:40"])
+    assert plain[0] == 0
+    assert refused == (3, "", "error: decomposing walks all subsets of the group; "
+                              "order 40 exceeds the bound 16\n")
+    for value in ("4", "40", "many"):
+        monkeypatch.setenv("PARGROUPOID_BOUND", value)
+        assert _run(capsys, ["gamma", "--group", "cyclic:5"]) == plain
+        assert _run(capsys, ["decompose", "--group", "cyclic:40"]) == refused
+        code, out, _ = _run(capsys, ["decompose", "--group", "klein4", "--scalar", "qnn"])
+        assert (code, out) == (2, "")
 
 
 def test_action_check_pass_and_fail(tmp_path, capsys):
@@ -686,6 +702,23 @@ def test_action_check_malformed_document_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = _run(capsys, ["action-check", "--file", str(path)])
     assert code == 3 and "defined on" in err
+
+
+@pytest.mark.parametrize("key", ["7", "01", "x"])
+def test_action_check_refuses_a_key_that_names_no_element(tmp_path, capsys, key):
+    # keys other than "0".."n-1" were ignored, and such a document exited 0
+    doc = {
+        "group": "cyclic:2",
+        "X": 2,
+        "domains": {"0": [0, 1], "1": [0, 1], key: [5]},
+        "maps": {"0": [[0, 0], [1, 1]], "1": [[0, 1], [1, 0]]},
+    }
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["action-check", "--file", str(path)])
+    assert (code, out) == (3, "")
+    assert err == (f'error: "domains" key {key!r} names no element; element keys '
+                   f"run from 0 to 1\n")
 
 
 def test_action_check_rejects_boolean_points(tmp_path, capsys):

@@ -121,8 +121,9 @@ _BUILDING = "building the groupoid walks all subsets of the group; order "
 @pytest.mark.parametrize("argv, env, line", [
     (["decompose", "--group", "cyclic:40", "--bound", "40"], {},
      _DECOMPOSING + "40 exceeds the hard ceiling 24 on any bound"),
+    # the bound is set by --bound alone; the variable is not read
     (["decompose", "--group", "cyclic:40"], {"PARGROUPOID_BOUND": "40"},
-     _DECOMPOSING + "40 exceeds the hard ceiling 24 on any bound"),
+     _DECOMPOSING + "40 exceeds the bound 16"),
     (["gamma", "--group", "cyclic:30", "--bound", "30"], {},
      _BUILDING + "30 exceeds the hard ceiling 24 on any bound"),
     (["verify", "--group", "cyclic:30", "--bound", "30", "--suite", "assoc"], {},
@@ -132,23 +133,31 @@ _BUILDING = "building the groupoid walks all subsets of the group; order "
      _DECOMPOSING + "17 exceeds the bound 16"),
     (["verify", "--group", "cyclic:17", "--suite", "tensor"], {},
      _DECOMPOSING + "17 exceeds the bound 16"),
-    (["decompose", "--group", "cyclic:17", "--scalar", "qnn"], {},
-     _DECOMPOSING + "17 exceeds the bound 16"),
     (["verify", "--group", "cyclic:17"], {}, _BUILDING + "17 exceeds the bound 16"),
     (["decompose", "--group", "cyclic:25", "--bound", "30"], {},
      _DECOMPOSING + "25 exceeds the hard ceiling 24 on any bound"),
 ], ids=["decompose-flag", "decompose-env", "gamma", "verify-assoc",
         "decompose-17", "verify-structure-17", "verify-tensor-17",
-        "decompose-qnn-17", "verify-17", "decompose-25"])
+        "verify-17", "decompose-25"])
 def test_bounds_past_the_ceiling_exit_3_with_one_line(argv, env, line, monkeypatch):
-    # the first four exited 4 with MemoryError under the cap, the decompose
-    # run at once and the other two after about 20 s; every refusal names
-    # the subset walk that a check runs before the subgroup lattice
+    # the rows with a bound past the ceiling exited 4 with MemoryError under
+    # the cap, decompose at once and the other two after about 20 s; every
+    # refusal names the subset walk that a check runs before the subgroup
+    # lattice
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     code, out, err = _run_capped(argv)
     _assert_clean_exit(code, err)
     assert (code, out, err) == (3, "", f"error: {line}\n")
+
+
+def test_decompose_with_a_scalar_exits_2_before_the_bound():
+    # decompose reads no scalar, so the flag is a usage error whatever the
+    # order; the component check over scalars is `verify --suite structure`
+    code, out, err = _run_capped(["decompose", "--group", "cyclic:17", "--scalar", "qnn"])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.endswith("error: unrecognized arguments: --scalar qnn\n")
 
 
 _digits = st.one_of(

@@ -99,6 +99,10 @@ def test_group_argument_overrides_document():
     lambda d: d["maps"].__setitem__("1", [[0, 1], [0, 0]]),
     lambda d: d["maps"].__setitem__("1", [["a", 1], [1, 0]]),
     lambda d: d.__setitem__("group", 7),
+    # a key that names no element
+    lambda d: d["domains"].__setitem__("7", []),
+    lambda d: d["maps"].__setitem__("01", []),
+    lambda d: d["domains"].__setitem__("x", [5]),
 ])
 def test_from_json_rejects_malformed_documents(mangle):
     doc = translation_doc(2)
@@ -384,6 +388,16 @@ def _idempotent_rep(scalars):
     unit = entries.basis_element(0)
     return PartialRepMap(Z2, target, [target.one(),
                                       MatrixElement(target, {(1, 1): unit, (1, 2): unit})])
+
+
+def test_a_failed_pullback_is_a_verification_error():
+    # a counterexample to membership, which the command line reports with
+    # exit 1 when no suite catches it first, not as an internal error
+    assert issubclass(ExtensionMembershipError, VerificationError)
+    with pytest.raises(VerificationError) as exc:
+        extend_to_gamma_hom(_idempotent_rep(QNN))
+    assert type(exc.value) is ExtensionMembershipError
+    assert exc.value.witnesses == [((0, 1, 2), DeltaElement(pos=0, neg=1))]
 
 
 @pytest.mark.parametrize("scalars", [QNN, NAT], ids=["qnn", "nat"])
